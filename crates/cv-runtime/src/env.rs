@@ -103,11 +103,11 @@ enum StepEnd {
 
 /// Where instructions come from: a private on-demand code cache (the classic shape,
 /// required for tracing's first-execution block signals) or a fleet-shared pre-decoded
-/// index plus the pristine address space backing copy-on-write machines.
+/// index plus the pristine address space its machines read from.
 enum Fetch {
-    /// Private cache, private `Memory::load` per run.
+    /// Private cache; each run loads the image's pages into its own memory.
     Classic(CodeCache),
-    /// Shared immutable program state: pre-decoded instructions and a CoW base.
+    /// Shared immutable program state: pre-decoded instructions and a shared base.
     /// Untraced runs are observationally identical to `Classic`; block
     /// first-execution tracer signals are not produced (nothing is ever "built").
     Shared {
@@ -406,10 +406,11 @@ impl ManagedExecutionEnvironment {
         }
         self.cumulative.merge(&stats);
 
+        let (rendered, debug) = machine.into_outputs();
         RunResult {
             status,
-            rendered: machine.render_output().to_vec(),
-            debug: machine.debug_output().to_vec(),
+            rendered,
+            debug,
             stats,
             observations,
         }

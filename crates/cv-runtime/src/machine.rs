@@ -66,9 +66,9 @@ impl Machine {
         Self::with_memory(image, Memory::load(image), input, heap_guard_enabled)
     }
 
-    /// Create a machine whose address space is a copy-on-write overlay over a shared
-    /// pristine base (see [`Memory::cow`]) — behaviourally identical to
-    /// [`Machine::new`] without the per-machine address-space copy.
+    /// Create a machine whose address space reads from a shared pristine base (see
+    /// [`Memory::cow`]) — behaviourally identical to [`Machine::new`], without
+    /// materialising even the image's own pages.
     pub fn with_cow(
         image: &BinaryImage,
         base: std::sync::Arc<[Word]>,
@@ -83,7 +83,7 @@ impl Machine {
         )
     }
 
-    fn with_memory(
+    pub(crate) fn with_memory(
         image: &BinaryImage,
         mem: Memory,
         input: Vec<Word>,
@@ -135,6 +135,16 @@ impl Machine {
     /// The words written to the debug port so far.
     pub fn debug_output(&self) -> &[Word] {
         &self.debug_output
+    }
+
+    /// Consume the machine, yielding the words written to the render and debug ports.
+    pub fn into_outputs(self) -> (Vec<Word>, Vec<Word>) {
+        (self.render_output, self.debug_output)
+    }
+
+    /// The guest memory, read-only (diagnostics and tests).
+    pub fn memory(&self) -> &Memory {
+        &self.mem
     }
 
     /// Number of live heap allocations (diagnostics).

@@ -1,33 +1,23 @@
-//! The guest's flat, word-granular memory — with an optional copy-on-write backing
-//! so thousands of short-lived machines can share one pristine loaded image.
+//! The guest's word-granular memory: one page table over an optional shared base.
+//!
+//! The address space is cut into [`PAGE_WORDS`]-word pages. A page absent from the
+//! table reads from the shared base if there is one and as zero otherwise; the first
+//! write to a page materialises exactly that page (copied from the base, or
+//! zero-filled). Creating a memory therefore costs the table alone, loading an image
+//! costs the pages its code and data occupy, and thousands of short-lived machines can
+//! share one loaded image behind an `Arc` — a run owns only the pages it touched.
 
 use crate::error::CrashKind;
 use cv_isa::{Addr, BinaryImage, MemoryLayout, Segment, Word};
 use std::sync::Arc;
 
-/// Copy-on-write page size in words (2 KiB pages at 4 bytes/word).
+/// Page size in words (2 KiB pages at 4 bytes/word).
 const PAGE_SHIFT: usize = 9;
-/// Words per CoW page.
+/// Words per page.
 pub const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: usize = PAGE_WORDS - 1;
 
-/// The storage behind a [`Memory`]: either a private flat array (the classic shape) or
-/// a shared pristine base overlaid with privately-owned dirty pages.
-#[derive(Debug, Clone)]
-enum Backing {
-    /// One privately owned flat array (zeroed or image-loaded).
-    Flat(Vec<Word>),
-    /// A shared read-only base (the pristine loaded image) plus copy-on-write pages
-    /// keyed by page id. Reads fall through to the base; the first write to a page
-    /// copies it. A run that dirties a few stack/heap/data pages costs kilobytes
-    /// instead of a full address-space copy.
-    Cow {
-        base: Arc<[Word]>,
-        pages: Vec<Option<Box<[Word]>>>,
-    },
-}
-
-/// The guest memory: a flat array of 32-bit words, partitioned by [`MemoryLayout`].
+/// The guest memory: a flat address space of 32-bit words, partitioned by [`MemoryLayout`].
 ///
 /// All accesses are bounds- and segment-checked; violations are reported as
 /// [`CrashKind`] values so the environment can turn them into guest crashes rather than
@@ -35,7 +25,11 @@ enum Backing {
 #[derive(Debug, Clone)]
 pub struct Memory {
     layout: MemoryLayout,
-    backing: Backing,
+    /// Shared read-only words that absent pages read from; without one they read as 0.
+    base: Option<Arc<[Word]>>,
+    /// Privately owned pages by page id, `None` until first written. The last page is
+    /// short when the layout is not a multiple of [`PAGE_WORDS`].
+    pages: Vec<Option<Box<[Word]>>>,
     /// When true, writes into the code segment crash (the normal W^X configuration).
     protect_code: bool,
 }
@@ -45,30 +39,25 @@ impl Memory {
     pub fn new(layout: MemoryLayout) -> Memory {
         Memory {
             layout,
-            backing: Backing::Flat(vec![0; layout.total_words()]),
+            base: None,
+            pages: vec![None; layout.total_words().div_ceil(PAGE_WORDS)],
             protect_code: true,
         }
     }
 
     /// Create a memory with the image's code and data loaded at their segment bases.
     pub fn load(image: &BinaryImage) -> Memory {
-        let mut words = vec![0; image.layout.total_words()];
-        let cb = image.layout.code_base as usize;
-        words[cb..cb + image.code.len()].copy_from_slice(&image.code);
-        let db = image.layout.data_base as usize;
-        words[db..db + image.data.len()].copy_from_slice(&image.data);
-        Memory {
-            layout: image.layout,
-            backing: Backing::Flat(words),
-            protect_code: true,
-        }
+        let mut mem = Memory::new(image.layout);
+        mem.copy_in(image.layout.code_base as usize, &image.code);
+        mem.copy_in(image.layout.data_base as usize, &image.data);
+        mem
     }
 
-    /// Create a copy-on-write memory over a shared pristine base (the words of
-    /// [`Memory::load`] for the same image, frozen behind an `Arc`).
+    /// Create a memory over a shared pristine base (the words of [`Memory::load`] for
+    /// the same image, frozen behind an `Arc`).
     ///
     /// Reads are served from `base` until a page is written; observable behaviour is
-    /// identical to [`Memory::load`], without the per-machine address-space copy.
+    /// identical to [`Memory::load`], and `base` is never written.
     ///
     /// # Panics
     ///
@@ -79,14 +68,9 @@ impl Memory {
             layout.total_words(),
             "CoW base must cover the whole layout"
         );
-        let page_count = base.len().div_ceil(PAGE_WORDS);
         Memory {
-            layout,
-            backing: Backing::Cow {
-                base,
-                pages: vec![None; page_count],
-            },
-            protect_code: true,
+            base: Some(base),
+            ..Memory::new(layout)
         }
     }
 
@@ -95,44 +79,53 @@ impl Memory {
         self.layout
     }
 
-    /// Total words (base + overlay) privately owned by this memory — the resident cost
-    /// of the backing beyond any shared base. A flat memory owns everything; a CoW
-    /// memory owns only its dirty pages.
+    /// Total words privately owned by this memory — the resident cost of the pages it
+    /// has materialised, beyond any shared base.
     pub fn owned_words(&self) -> usize {
-        match &self.backing {
-            Backing::Flat(words) => words.len(),
-            Backing::Cow { pages, .. } => pages
-                .iter()
-                .map(|p| p.as_ref().map_or(0, |p| p.len()))
-                .sum(),
-        }
+        self.pages.iter().flatten().map(|p| p.len()).sum()
     }
 
     #[inline]
     fn word(&self, idx: usize) -> Word {
-        match &self.backing {
-            Backing::Flat(words) => words[idx],
-            Backing::Cow { base, pages } => match pages[idx >> PAGE_SHIFT].as_deref() {
-                Some(page) => page[idx & PAGE_MASK],
-                None => base[idx],
-            },
+        let page = self.pages[idx >> PAGE_SHIFT].as_deref();
+        match (page, self.base.as_deref()) {
+            (Some(page), _) => page[idx & PAGE_MASK],
+            (None, Some(base)) => base[idx],
+            (None, None) => {
+                assert!(idx < self.len(), "index {idx} beyond the layout");
+                0
+            }
         }
+    }
+
+    /// The private copy of page `pid`, materialised from the base (or zeros) on first
+    /// use.
+    #[inline]
+    fn page_mut(&mut self, pid: usize) -> &mut [Word] {
+        let (layout, base) = (&self.layout, &self.base);
+        self.pages[pid].get_or_insert_with(|| {
+            let start = pid << PAGE_SHIFT;
+            let end = (start + PAGE_WORDS).min(layout.total_words());
+            match base {
+                Some(base) => base[start..end].into(),
+                None => vec![0; end - start].into(),
+            }
+        })
     }
 
     #[inline]
     fn word_mut(&mut self, idx: usize) -> &mut Word {
-        match &mut self.backing {
-            Backing::Flat(words) => &mut words[idx],
-            Backing::Cow { base, pages } => {
-                let pid = idx >> PAGE_SHIFT;
-                let slot = &mut pages[pid];
-                if slot.is_none() {
-                    let start = pid << PAGE_SHIFT;
-                    let end = (start + PAGE_WORDS).min(base.len());
-                    *slot = Some(base[start..end].to_vec().into_boxed_slice());
-                }
-                &mut slot.as_mut().expect("page materialized")[idx & PAGE_MASK]
-            }
+        &mut self.page_mut(idx >> PAGE_SHIFT)[idx & PAGE_MASK]
+    }
+
+    /// Copy `src` to raw index `at`, page by page, bypassing protection (image load).
+    fn copy_in(&mut self, mut at: usize, mut src: &[Word]) {
+        while !src.is_empty() {
+            let off = at & PAGE_MASK;
+            let (chunk, rest) = src.split_at(src.len().min(PAGE_WORDS - off));
+            self.page_mut(at >> PAGE_SHIFT)[off..off + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len();
+            src = rest;
         }
     }
 
@@ -170,34 +163,31 @@ impl Memory {
         *self.word_mut(addr as usize) = value;
     }
 
-    /// Copy `src.len()` words into guest memory starting at `dst`, bypassing protection
-    /// (used by the environment to stage input data in the data segment).
-    pub fn write_slice_raw(&mut self, dst: Addr, src: &[Word]) -> Result<(), CrashKind> {
-        let end = dst as usize + src.len();
-        if end > self.len() {
-            return Err(CrashKind::UnmappedAccess { addr: end as Addr });
-        }
-        for (i, &w) in src.iter().enumerate() {
-            *self.word_mut(dst as usize + i) = w;
-        }
-        Ok(())
-    }
-
     /// Snapshot `len` words starting at `addr` (diagnostics and tests).
     pub fn read_slice(&self, addr: Addr, len: usize) -> Result<Vec<Word>, CrashKind> {
         let end = addr as usize + len;
         if end > self.len() {
             return Err(CrashKind::UnmappedAccess { addr: end as Addr });
         }
-        Ok((addr as usize..end).map(|i| self.word(i)).collect())
+        let mut out = Vec::with_capacity(len);
+        let mut at = addr as usize;
+        while at < end {
+            let off = at & PAGE_MASK;
+            let n = (end - at).min(PAGE_WORDS - off);
+            let page = self.pages[at >> PAGE_SHIFT].as_deref();
+            match (page, self.base.as_deref()) {
+                (Some(page), _) => out.extend_from_slice(&page[off..off + n]),
+                (None, Some(base)) => out.extend_from_slice(&base[at..at + n]),
+                (None, None) => out.resize(out.len() + n, 0),
+            }
+            at += n;
+        }
+        Ok(out)
     }
 
     /// Total mapped words.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Flat(words) => words.len(),
-            Backing::Cow { base, .. } => base.len(),
-        }
+        self.layout.total_words()
     }
 
     /// Never empty for a valid layout, but provided for completeness.
@@ -209,7 +199,10 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::CANARY;
+    use crate::machine::{CopyOutcome, Machine, MemFault};
     use cv_isa::ProgramBuilder;
+    use proptest::prelude::*;
 
     fn tiny_image() -> BinaryImage {
         let mut b = ProgramBuilder::new();
@@ -266,13 +259,13 @@ mod tests {
         assert_eq!(mem.read_slice(layout.heap_base, 3).unwrap(), vec![0, 0, 0]);
     }
 
-    /// A CoW memory over the pristine image behaves exactly like `Memory::load`.
+    /// A memory over the pristine image behaves exactly like `Memory::load`.
     #[test]
     fn cow_memory_matches_flat_load() {
         let image = tiny_image();
         let flat = Memory::load(&image);
         let base: Arc<[Word]> = flat.read_slice(0, flat.len()).unwrap().into();
-        let mut cow = Memory::cow(image.layout, base);
+        let mut cow = Memory::cow(image.layout, base.clone());
 
         // Reads fall through to the shared base.
         assert_eq!(cow.read(image.layout.code_base).unwrap(), image.code[0]);
@@ -305,13 +298,300 @@ mod tests {
         let data = image.layout.data_base;
         cow.write(data, 1234).unwrap();
         assert_eq!(cow.read(data).unwrap(), 1234);
-        let reread = Memory::cow(
-            image.layout,
-            match &cow.backing {
-                Backing::Cow { base, .. } => base.clone(),
-                _ => unreachable!(),
-            },
-        );
-        assert_eq!(reread.read(data).unwrap(), 7);
+        assert_eq!(Memory::cow(image.layout, base).read(data).unwrap(), 7);
+    }
+
+    /// Segments separated by unmapped holes, ending (at word 3,333) inside a page: the
+    /// stack is exactly the short last page.
+    fn ragged_layout() -> MemoryLayout {
+        MemoryLayout {
+            code_base: 700,
+            code_size: 600,
+            data_base: 1400,
+            data_size: 500,
+            heap_base: 2000,
+            heap_size: 1000,
+            stack_base: 3072,
+            stack_size: 261,
+        }
+    }
+
+    /// An image of arbitrary (never executed) words filling `code` and `data` words of
+    /// its segments, so both straddle page boundaries.
+    fn filled_image(layout: MemoryLayout, code: u32, data: u32) -> BinaryImage {
+        BinaryImage {
+            layout,
+            code: (0..code).map(|i| 0xC0DE_0000 | i).collect(),
+            data: (0..data).map(|i| 0xDA7A_0000 | i).collect(),
+            entry: layout.code_base,
+        }
+    }
+
+    /// Words of the pages that `len` words starting at `start` occupy.
+    fn words_of_pages(layout: MemoryLayout, start: Addr, len: usize) -> usize {
+        let first = start as usize >> PAGE_SHIFT;
+        let last = (start as usize + len - 1) >> PAGE_SHIFT;
+        (first..=last)
+            .map(|pid| PAGE_WORDS.min(layout.total_words() - (pid << PAGE_SHIFT)))
+            .sum()
+    }
+
+    /// Set-up is O(touched): a zeroed memory owns nothing and a loaded one owns exactly
+    /// the pages its code and data occupy (disjoint here, so the sums add).
+    #[test]
+    fn load_owns_only_the_image_pages() {
+        assert_eq!(Memory::new(MemoryLayout::default()).owned_words(), 0);
+        let default = MemoryLayout::default();
+        for image in [
+            filled_image(default, 1300, 700),
+            filled_image(ragged_layout(), 200, 400),
+        ] {
+            let mem = Memory::load(&image);
+            let layout = image.layout;
+            assert_eq!(
+                mem.owned_words(),
+                words_of_pages(layout, layout.code_base, image.code.len())
+                    + words_of_pages(layout, layout.data_base, image.data.len())
+            );
+            assert_eq!(
+                mem.read_slice(layout.code_base, image.code.len()).unwrap(),
+                image.code
+            );
+            assert_eq!(
+                mem.read_slice(layout.data_base, image.data.len()).unwrap(),
+                image.data
+            );
+        }
+    }
+
+    /// A raw index beyond the layout is a host bug and panics on every backing state —
+    /// also inside the short last page, where the page table alone would not notice.
+    #[test]
+    fn out_of_range_raw_index_panics() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let layout = ragged_layout();
+        let total = layout.total_words() as Addr;
+        let based = || Memory::cow(layout, vec![0; total as usize].into());
+        let touched = |mut mem: Memory| {
+            mem.write(total - 1, 1).unwrap();
+            mem
+        };
+        for mem in [
+            Memory::new(layout),
+            based(),
+            touched(Memory::new(layout)),
+            touched(based()),
+        ] {
+            assert_eq!(mem.read_raw(total - 1), mem.read(total - 1).unwrap());
+            for idx in [total, total + 1, (PAGE_WORDS * mem.pages.len()) as Addr] {
+                assert!(catch_unwind(|| mem.read_raw(idx)).is_err());
+                let mut mem = mem.clone();
+                assert!(catch_unwind(AssertUnwindSafe(|| mem.write_raw(idx, 1))).is_err());
+            }
+        }
+    }
+
+    /// The reference the paged memory is held to: every word in one `Vec`, the same
+    /// segment rules, and Heap Guard over a mirror of the machine's allocation map
+    /// (where the allocator *places* a block is the machine's answer — `heap.rs` owns
+    /// that — while which words then hold canaries and what each access returns is
+    /// computed here).
+    struct Model {
+        layout: MemoryLayout,
+        words: Vec<Word>,
+        live: std::collections::BTreeMap<Addr, u32>,
+        heap_guard: bool,
+    }
+
+    impl Model {
+        fn read(&self, addr: Addr) -> Result<Word, MemFault> {
+            match self.layout.segment_of(addr) {
+                Segment::Unmapped => Err(CrashKind::UnmappedAccess { addr }.into()),
+                _ => Ok(self.words[addr as usize]),
+            }
+        }
+
+        fn write(&mut self, addr: Addr, value: Word) -> Result<(), MemFault> {
+            let in_live_block = |(&start, &size): (&Addr, &u32)| addr < start + size;
+            match self.layout.segment_of(addr) {
+                Segment::Unmapped => Err(CrashKind::UnmappedAccess { addr }.into()),
+                Segment::Code => Err(CrashKind::CodeWrite { addr }.into()),
+                Segment::Heap
+                    if self.heap_guard
+                        && self.words[addr as usize] == CANARY
+                        && !self
+                            .live
+                            .range(..=addr)
+                            .next_back()
+                            .is_some_and(in_live_block) =>
+                {
+                    Err(MemFault::HeapGuardViolation { addr })
+                }
+                _ => {
+                    self.words[addr as usize] = value;
+                    Ok(())
+                }
+            }
+        }
+
+        fn read_slice(&self, addr: Addr, len: usize) -> Result<Vec<Word>, CrashKind> {
+            let end = addr as usize + len;
+            match self.words.get(addr as usize..end) {
+                Some(words) => Ok(words.to_vec()),
+                None => Err(CrashKind::UnmappedAccess { addr: end as Addr }),
+            }
+        }
+
+        fn allocated(&mut self, user_start: Addr, size: u32) {
+            self.words[user_start as usize - 1] = CANARY;
+            self.words[(user_start + size) as usize] = CANARY;
+            self.live.insert(user_start, size);
+        }
+
+        fn free(&mut self, addr: Addr) -> Result<(), MemFault> {
+            match self.live.remove(&addr) {
+                Some(_) => Ok(()),
+                None => Err(CrashKind::InvalidFree { addr }.into()),
+            }
+        }
+
+        fn copy(&mut self, dst: Addr, src: Addr, len: u64) -> Result<CopyOutcome, MemFault> {
+            for copied in 0..len {
+                let (s, d) = (
+                    src.wrapping_add(copied as u32),
+                    dst.wrapping_add(copied as u32),
+                );
+                let moved = self.read(s).and_then(|value| self.write(d, value));
+                match moved {
+                    Ok(()) => {}
+                    Err(MemFault::Crash(_)) => {
+                        return Ok(CopyOutcome {
+                            copied,
+                            clamped: true,
+                        })
+                    }
+                    Err(violation) => return Err(violation),
+                }
+            }
+            Ok(CopyOutcome {
+                copied: len,
+                clamped: false,
+            })
+        }
+    }
+
+    /// Turn a raw draw into an address biased to where the paged backing could go
+    /// wrong: two words either side of every segment edge, of the image's own ends,
+    /// of word 0 (so also the top of the `u32` range) and of the last word of the
+    /// layout; two words either side of any page boundary; the first words of the heap
+    /// (canaries and live blocks); and anywhere up to a page beyond the layout.
+    fn biased_addr(image: &BinaryImage, raw: u32) -> Addr {
+        let layout = image.layout;
+        let total = layout.total_words() as u32;
+        let edges = [
+            0,
+            layout.code_base,
+            image.code_end(),
+            layout.code_end(),
+            layout.data_base,
+            layout.data_base + image.data.len() as u32,
+            layout.data_end(),
+            layout.heap_base,
+            layout.heap_end(),
+            layout.stack_base,
+            total,
+        ];
+        let (kind, pick) = (raw % 4, raw >> 8);
+        let near = |addr: u32| addr.wrapping_add((raw >> 2) % 5).wrapping_sub(2);
+        match kind {
+            0 => near(edges[pick as usize % edges.len()]),
+            1 => near(pick % (total / PAGE_WORDS as u32 + 2) * PAGE_WORDS as u32),
+            2 => layout.heap_base + pick % 96,
+            _ => pick % (total + PAGE_WORDS as u32),
+        }
+    }
+
+    type RawOp = (u8, u32, u32, u32);
+
+    /// Drive `ops` through a machine over `mem` and through the model, comparing every
+    /// answer and, at the end, every word.
+    fn run_differential(image: &BinaryImage, mem: Memory, heap_guard: bool, ops: &[RawOp]) {
+        let layout = image.layout;
+        let total = layout.total_words();
+        let mut model = Model {
+            layout,
+            words: mem.read_slice(0, total).unwrap(),
+            live: Default::default(),
+            heap_guard,
+        };
+        let mut machine = Machine::with_memory(image, mem, Vec::new(), heap_guard);
+        let mut blocks: Vec<Addr> = Vec::new();
+        for &(kind, a, b, c) in ops {
+            let addr = biased_addr(image, a);
+            match kind {
+                0 => assert_eq!(machine.read_mem(addr), model.read(addr)),
+                1 => assert_eq!(machine.write_mem(addr, b), model.write(addr, b)),
+                2 => {
+                    let len = b as usize % (3 * PAGE_WORDS);
+                    assert_eq!(
+                        machine.memory().read_slice(addr, len),
+                        model.read_slice(addr, len)
+                    );
+                }
+                3 => {
+                    let size = b % 40;
+                    match machine.heap_alloc(size) {
+                        Ok(user_start) => {
+                            model.allocated(user_start, size.max(1));
+                            blocks.push(user_start);
+                        }
+                        Err(fault) => assert_eq!(fault, CrashKind::OutOfMemory.into()),
+                    }
+                }
+                4 => {
+                    // Mostly a block handed out earlier (possibly freed since), else
+                    // any address.
+                    let ptr = match blocks.get(b as usize % (blocks.len() + 1)) {
+                        Some(&block) => block,
+                        None => addr,
+                    };
+                    assert_eq!(machine.heap_free(ptr), model.free(ptr));
+                }
+                _ => {
+                    let (dst, len) = (biased_addr(image, b), c as u64 % 1500);
+                    assert_eq!(
+                        machine.copy_words(dst, addr, len),
+                        model.copy(dst, addr, len)
+                    );
+                }
+            }
+        }
+        assert_eq!(machine.memory().read_slice(0, total).unwrap(), model.words);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random access sequences agree with the flat model on every backing state —
+        /// zero-filled, image-loaded, and over a shared base that must come out
+        /// untouched — on the default layout and on the ragged one.
+        #[test]
+        fn paged_memory_matches_the_flat_model(
+            ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>(), any::<u32>()), 1..250),
+            heap_guard in any::<bool>(),
+        ) {
+            for image in [
+                filled_image(MemoryLayout::default(), 1300, 700),
+                filled_image(ragged_layout(), 200, 400),
+            ] {
+                run_differential(&image, Memory::new(image.layout), heap_guard, &ops);
+                let loaded = Memory::load(&image);
+                let pristine = loaded.read_slice(0, loaded.len()).unwrap();
+                run_differential(&image, loaded, heap_guard, &ops);
+                let base: Arc<[Word]> = pristine.clone().into();
+                run_differential(&image, Memory::cow(image.layout, base.clone()), heap_guard, &ops);
+                prop_assert_eq!(&base[..], &pristine[..]);
+            }
+        }
     }
 }

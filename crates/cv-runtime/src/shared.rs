@@ -2,16 +2,20 @@
 //!
 //! A fleet of simulated members all run the *same* binary. The classic
 //! [`ManagedExecutionEnvironment`](crate::ManagedExecutionEnvironment) owns a private
-//! image copy, a private code cache, and loads a private address space per run —
-//! O(members · image) memory and O(image) setup per run. [`SharedProgram`] factors all
-//! of the immutable state out once per fleet:
+//! image copy and a private code cache, and every run copies the image's code and data
+//! pages into its own [`Memory`](crate::Memory) — O(members · image) memory, and a
+//! cache warm-up per environment. [`SharedProgram`] factors all of the immutable state
+//! out once per fleet:
 //!
 //! * the [`BinaryImage`] itself (`Arc`, never cloned),
-//! * the **pristine address space** — the words [`Memory::load`] would produce —
-//!   backing copy-on-write machines ([`Memory::cow`]) that copy only the pages a run
-//!   actually dirties,
+//! * the **pristine address space** — the words
+//!   [`Memory::load`](crate::Memory::load) would produce — which every machine's
+//!   memory reads from ([`Memory::cow`](crate::Memory::cow)); a run owns only the
+//!   pages it writes, not even the image's,
 //! * a [`CodeIndex`]: every code address pre-decoded once, replacing the per-run
 //!   warm-up of a private [`CodeCache`](crate::CodeCache).
+//!
+//! Both shapes run on the one paged memory: set-up is O(pages touched) either way.
 //!
 //! The index is exactly faithful to the classic cache's fetch semantics: the cache
 //! serves the context-free decode at the fetched address and errors iff
@@ -20,7 +24,6 @@
 //! error set is independent of cache state).
 
 use crate::cache::CodeCache;
-use crate::memory::Memory;
 use cv_isa::{Addr, BinaryImage, InstWithAddr, Word};
 use std::sync::Arc;
 
@@ -86,11 +89,12 @@ pub struct SharedProgram {
 impl SharedProgram {
     /// Load and index `image` once.
     pub fn new(image: BinaryImage) -> SharedProgram {
-        let loaded = Memory::load(&image);
-        let pristine: Arc<[Word]> = loaded
-            .read_slice(0, loaded.len())
-            .expect("pristine snapshot covers the layout")
-            .into();
+        let layout = image.layout;
+        let mut pristine: Arc<[Word]> = std::iter::repeat_n(0, layout.total_words()).collect();
+        let words = Arc::get_mut(&mut pristine).expect("not yet shared");
+        let (cb, db) = (layout.code_base as usize, layout.data_base as usize);
+        words[cb..cb + image.code.len()].copy_from_slice(&image.code);
+        words[db..db + image.data.len()].copy_from_slice(&image.data);
         let index = Arc::new(CodeIndex::build(&image));
         SharedProgram {
             image: Arc::new(image),
@@ -104,7 +108,7 @@ impl SharedProgram {
         &self.image
     }
 
-    /// The pristine loaded address space (what [`Memory::load`] produces).
+    /// The pristine loaded address space (what [`Memory::load`](crate::Memory::load) produces).
     pub fn pristine(&self) -> &Arc<[Word]> {
         &self.pristine
     }
@@ -128,6 +132,7 @@ impl SharedProgram {
 mod tests {
     use super::*;
     use crate::error::RuntimeError;
+    use crate::memory::Memory;
     use cv_isa::{Cond, ProgramBuilder, Reg};
 
     fn image() -> BinaryImage {
