@@ -4,7 +4,7 @@
 //! The paper measures wall-clock seconds to load the 57 evaluation pages under each
 //! configuration; this harness reports both the simulated cost-model overhead (the
 //! number the shape comparison uses) and the real wall-clock time of the reproduction's
-//! interpreter under each configuration.
+//! interpreter under each configuration (the fastest of 200 passes over the suite).
 
 use cv_apps::{evaluation_suite, Browser};
 use cv_bench::print_table;
@@ -13,16 +13,30 @@ use cv_runtime::{
 };
 use std::time::Instant;
 
+/// Timed passes over the suite per configuration; the fastest one is reported, so
+/// that a 57-page pass of some tens of microseconds is not lost in scheduler noise.
+const TIMED_PASSES: usize = 200;
+
+/// The suite's event counts from a cold cache (what the cost model prices) and the
+/// wall-clock seconds of its fastest pass on the then-warm environment.
 fn run_suite(browser: &Browser, monitors: MonitorConfig) -> (ExecutionStats, f64) {
     let mut env =
         ManagedExecutionEnvironment::new(browser.image.clone(), EnvConfig::with_monitors(monitors));
     let pages = evaluation_suite();
-    let start = Instant::now();
-    for page in &pages {
-        let r = env.run(page);
-        assert!(r.is_completed(), "evaluation pages are benign");
-    }
-    (env.cumulative_stats(), start.elapsed().as_secs_f64())
+    let pass = |env: &mut ManagedExecutionEnvironment| {
+        let start = Instant::now();
+        for page in &pages {
+            let r = env.run(page);
+            assert!(r.is_completed(), "evaluation pages are benign");
+        }
+        start.elapsed().as_secs_f64()
+    };
+    pass(&mut env);
+    let stats = env.cumulative_stats();
+    let fastest = (0..TIMED_PASSES)
+        .map(|_| pass(&mut env))
+        .fold(f64::INFINITY, f64::min);
+    (stats, fastest)
 }
 
 fn main() {

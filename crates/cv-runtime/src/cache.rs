@@ -1,15 +1,46 @@
-//! The code cache: basic blocks decoded on first execution.
+//! The code cache: one dense table of decoded instructions, filled a block at a time.
 //!
 //! The Determina Managed Program Execution Environment executes all code out of a code
 //! cache of dynamically built basic blocks; patches are applied by ejecting the affected
-//! blocks and re-building them with instrumentation (Section 2.1). The cache here plays
-//! the same role: it decodes blocks out of the stripped image on demand, counts builds
-//! and ejections (which dominate the "cache warm-up" component of the paper's Table 3
-//! timing), and supports ejecting the blocks that contain a patched address.
+//! blocks and re-building them with instrumentation (Section 2.1), so an instruction
+//! that carries no patch pays nothing for the patches elsewhere. The cache here plays
+//! the same role, and keeps the per-instruction cost of running out of it to one bounds
+//! check, one load and one compare:
+//!
+//! * **A slot per code word.** [`CodeTable`] holds one slot for every word of the code
+//!   segment, indexed by `addr − code_base`: the instruction decoded at that address,
+//!   its length, and a *stamp*. A slot is live — a fetch there is a hit — when its stamp
+//!   equals the table's generation. Decoding is context-free, so what a slot holds is a
+//!   function of its address alone; ejecting and flushing only ever touch stamps, and a
+//!   slot that was filled once stays correct however often it goes stale.
+//! * **Filled a block at a time.** A miss decodes the basic block that starts at the
+//!   fetched address ([`CodeCache::build_block`]), stamps the slot of each of its
+//!   instructions and counts one `blocks_built` — the "cache warm-up" component of the
+//!   paper's Table 3 timing, and the tracer's first-execution signal.
+//! * **Flushing is one increment.** [`CodeCache::flush`] bumps the generation; every
+//!   slot goes stale at once, whatever the size of the program.
+//! * **How a patch reaches a block.** Applying or removing a hook at an address calls
+//!   [`CodeCache::eject_blocks_containing`]. Every block through an address runs on to
+//!   the same end, so the cache keeps its live blocks ordered by `(end, start)` and an
+//!   ejection looks only at the blocks that share the address's end: each one that
+//!   contains the address leaves the set and its slots go stale, and the next execution
+//!   rebuilds it — now passing through the hook registry's site table
+//!   ([`HookRegistry`](crate::HookRegistry)), the reproduction's form of "rebuild the
+//!   block with the patch in it".
+//!
+//! Blocks may overlap (a jump into the middle of straight-line code that is later
+//! reached from above; a jump into the middle of an instruction, which decodes
+//! differently and may or may not fall back into step). Ejecting a block un-caches
+//! every address it covers, also one that another live block covers: that block stays
+//! in the set — it is still ejected and counted by a later patch inside it — and the
+//! next fetch at a stale address builds, and counts, the block that starts there.
+//!
+//! The fleet's pre-decoded index is the same table with every slot filled up front
+//! ([`CodeTable::prebuilt`]) and shared behind an `Arc`; see [`crate::SharedProgram`].
 
 use crate::error::RuntimeError;
-use cv_isa::{decode, Addr, BinaryImage, InstWithAddr};
-use std::collections::HashMap;
+use cv_isa::{decode, Addr, BinaryImage, Inst, InstWithAddr};
+use std::collections::BTreeSet;
 
 /// A decoded basic block: a maximal straight-line instruction sequence ending at a
 /// control transfer (or at the end of the loaded code).
@@ -29,25 +60,166 @@ impl BasicBlock {
             .map(|i| i.next_addr())
             .unwrap_or(self.start)
     }
+}
 
-    /// True if `addr` is the address of one of the block's instructions.
-    pub fn contains_inst(&self, addr: Addr) -> bool {
-        self.insts.iter().any(|i| i.addr == addr)
+/// One code word's entry: what decodes there, and whether that is currently cached.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    inst: Inst,
+    /// Words the instruction occupies; 0 in a slot that was never filled.
+    len: u32,
+    /// Live when equal to the table's generation. Generations start at 1.
+    stamp: u32,
+}
+
+const NEVER_FILLED: Slot = Slot {
+    inst: Inst::Nop,
+    len: 0,
+    stamp: 0,
+};
+
+/// Decoded instructions for a code segment, one slot per word, indexed by address.
+///
+/// The private, lazily filled table of a [`CodeCache`] and the fully pre-built one a
+/// [`SharedProgram`](crate::SharedProgram) shares are the same type: the run loop has
+/// one fetch for both.
+#[derive(Debug)]
+pub struct CodeTable {
+    code_base: Addr,
+    generation: u32,
+    slots: Vec<Slot>,
+}
+
+impl Default for CodeTable {
+    fn default() -> Self {
+        CodeTable {
+            code_base: 0,
+            generation: 1,
+            slots: Vec::new(),
+        }
     }
 }
 
-/// The code cache.
+impl CodeTable {
+    /// A table over `image`'s code segment with no slot filled.
+    fn unfilled(image: &BinaryImage) -> CodeTable {
+        CodeTable {
+            code_base: image.layout.code_base,
+            slots: vec![NEVER_FILLED; image.code.len()],
+            ..CodeTable::default()
+        }
+    }
+
+    /// Every address of `image`'s code segment decoded up front.
+    ///
+    /// A slot is live exactly where a cold [`CodeCache::fetch`] succeeds: where the
+    /// whole block from that address decodes (a hit at an address implies the rest of
+    /// its block decoded, so the cache's error set does not depend on its state). An
+    /// instruction's successor lies above it, so one descending pass settles every
+    /// address without building a block.
+    pub(crate) fn prebuilt(image: &BinaryImage) -> CodeTable {
+        let mut table = CodeTable::unfilled(image);
+        for offset in (0..image.code.len()).rev() {
+            let Ok((inst, len)) = decode(&image.code, offset) else {
+                continue;
+            };
+            let next = offset + len as usize;
+            let block_decodes = inst.ends_basic_block()
+                || table
+                    .slots
+                    .get(next)
+                    .is_none_or(|s| s.stamp == table.generation);
+            if block_decodes {
+                table.fill(offset, inst, len);
+            }
+        }
+        table
+    }
+
+    /// The cached instruction at `addr` and its length: what the run loop reads on every
+    /// guest instruction. By reference, so that the loop copies the instruction once,
+    /// into place; handed over as an `Option<InstWithAddr>` it was copied twice, the
+    /// second time through a stalled load — 1.5 ns of a 9 ns instruction.
+    #[inline]
+    pub(crate) fn hit(&self, addr: Addr) -> Option<(&Inst, u32)> {
+        let slot = self.slots.get(addr.wrapping_sub(self.code_base) as usize)?;
+        (slot.stamp == self.generation).then_some((&slot.inst, slot.len))
+    }
+
+    /// The cached instruction at `addr`; `None` for an address that is not cached —
+    /// in a pre-built table, one that does not decode — or lies outside the segment.
+    pub fn fetch(&self, addr: Addr) -> Option<InstWithAddr> {
+        let (&inst, len) = self.hit(addr)?;
+        Some(InstWithAddr { addr, inst, len })
+    }
+
+    /// Addresses covered (the code segment length in words).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True for an empty code segment.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Bytes the table occupies.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot>()
+    }
+
+    fn fill(&mut self, offset: usize, inst: Inst, len: u32) {
+        self.slots[offset] = Slot {
+            inst,
+            len,
+            stamp: self.generation,
+        };
+    }
+
+    /// The offset of `addr`, if its slot was ever filled. From such a slot the rest of
+    /// its block can be walked: slots are only ever filled a whole block at a time.
+    fn filled(&self, addr: Addr) -> Option<usize> {
+        let offset = addr.wrapping_sub(self.code_base) as usize;
+        (self.slots.get(offset)?.len > 0).then_some(offset)
+    }
+
+    /// Offsets of the instructions of the block that starts at the filled slot `start`.
+    fn block_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(start), |&offset| {
+            let slot = &self.slots[offset];
+            let next = offset + slot.len as usize;
+            (!slot.inst.ends_basic_block() && next < self.slots.len()).then_some(next)
+        })
+    }
+
+    /// One past the last word of the block through the filled slot `offset`.
+    fn block_end(&self, offset: usize) -> Addr {
+        let last = self.block_from(offset).last().unwrap_or(offset);
+        self.code_base + (last + self.slots[last].len as usize) as Addr
+    }
+
+    /// Make every slot stale.
+    fn retire_all(&mut self) {
+        self.generation = self.generation.checked_add(1).unwrap_or_else(|| {
+            self.slots.iter_mut().for_each(|slot| slot.stamp = 0);
+            1
+        });
+    }
+}
+
+/// The code cache of one classic environment: a [`CodeTable`] filled on first
+/// execution, and the set of blocks that filled it.
+///
+/// A cache serves one image; fetching from an image of another shape starts it over.
 #[derive(Debug, Default)]
 pub struct CodeCache {
-    blocks: HashMap<Addr, BasicBlock>,
-    /// Instruction lookup across all cached blocks.
-    inst_index: HashMap<Addr, InstWithAddr>,
+    table: CodeTable,
+    /// Live blocks as `(end, start)`; see the module docs.
+    blocks: BTreeSet<(Addr, Addr)>,
     /// Blocks decoded since creation (includes re-builds after ejection).
     pub blocks_built: u64,
     /// Blocks ejected (for patch application/removal).
     pub blocks_ejected: u64,
-    /// Instruction fetches served from the cache.
-    pub hits: u64,
 }
 
 impl CodeCache {
@@ -61,6 +233,12 @@ impl CodeCache {
         self.blocks.len()
     }
 
+    /// The table the run loop fetches from.
+    #[inline]
+    pub(crate) fn table(&self) -> &CodeTable {
+        &self.table
+    }
+
     /// Fetch the instruction at `addr`, building the containing block if needed.
     ///
     /// Returns the instruction and, when a new block was built to satisfy the fetch, the
@@ -71,19 +249,21 @@ impl CodeCache {
         image: &BinaryImage,
         addr: Addr,
     ) -> Result<(InstWithAddr, Option<Addr>), RuntimeError> {
-        if let Some(iwa) = self.inst_index.get(&addr) {
-            self.hits += 1;
-            return Ok((*iwa, None));
+        if let Some(iwa) = self.table.fetch(addr) {
+            return Ok((iwa, None));
         }
         let block = Self::build_block(image, addr)?;
-        let start = block.start;
-        for iwa in &block.insts {
-            self.inst_index.insert(iwa.addr, *iwa);
+        if self.table.code_base != image.layout.code_base || self.table.len() != image.code.len() {
+            self.table = CodeTable::unfilled(image);
+            self.blocks.clear();
         }
-        let first = block.insts[0];
-        self.blocks.insert(start, block);
+        for iwa in &block.insts {
+            let offset = (iwa.addr - self.table.code_base) as usize;
+            self.table.fill(offset, iwa.inst, iwa.len);
+        }
+        self.blocks.insert((block.end(), addr));
         self.blocks_built += 1;
-        Ok((first, Some(start)))
+        Ok((block.insts[0], Some(addr)))
     }
 
     /// Decode the basic block starting at `addr` without caching it (used by the
@@ -116,40 +296,49 @@ impl CodeCache {
     /// of blocks ejected. This is how patches are applied to (and removed from) a
     /// running application: the stale block leaves the cache and is re-built, now passing
     /// through the instrumentation plugins, the next time it executes.
+    ///
+    /// Costs the length of the blocks that end where `addr`'s block ends, not the size
+    /// of the cache.
     pub fn eject_blocks_containing(&mut self, addr: Addr) -> usize {
+        let Some(target) = self.table.filled(addr) else {
+            return 0;
+        };
+        let end = self.table.block_end(target);
         let stale: Vec<Addr> = self
             .blocks
-            .values()
-            .filter(|b| b.contains_inst(addr))
-            .map(|b| b.start)
+            .range((end, 0)..=(end, addr))
+            .map(|&(_, start)| start)
+            .filter(|&start| {
+                let start = (start - self.table.code_base) as usize;
+                self.table.block_from(start).any(|offset| offset == target)
+            })
             .collect();
-        for start in &stale {
-            if let Some(block) = self.blocks.remove(start) {
-                for iwa in &block.insts {
-                    self.inst_index.remove(&iwa.addr);
-                }
-                self.blocks_ejected += 1;
+        for &start in &stale {
+            self.blocks.remove(&(end, start));
+            let mut offset = (start - self.table.code_base) as usize;
+            while self.table.code_base + (offset as Addr) < end {
+                let slot = &mut self.table.slots[offset];
+                slot.stamp = 0;
+                offset += slot.len as usize;
             }
         }
+        self.blocks_ejected += stale.len() as u64;
         stale.len()
     }
 
     /// Drop every cached block (a "cold cache", as after a restart).
     pub fn flush(&mut self) {
+        self.table.retire_all();
         self.blocks.clear();
-        self.inst_index.clear();
-    }
-
-    /// The cached block starting exactly at `addr`, if any.
-    pub fn block_at(&self, addr: Addr) -> Option<&BasicBlock> {
-        self.blocks.get(&addr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cv_isa::{Cond, ProgramBuilder, Reg};
+    use cv_isa::{Cond, Operand, ProgramBuilder, Reg};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn image_with_branches() -> BinaryImage {
         let mut b = ProgramBuilder::new();
@@ -172,21 +361,27 @@ mod tests {
         let (first, built) = cache.fetch(&image, image.entry).unwrap();
         assert_eq!(first.addr, image.entry);
         assert_eq!(built, Some(image.entry));
-        let block = cache.block_at(image.entry).unwrap();
-        // mov, cmp, jcc — the block ends at the conditional jump.
+        // mov, cmp, jcc — the block ends at the conditional jump: those three are
+        // cached, the add after the jump is not.
+        let block = CodeCache::build_block(&image, image.entry).unwrap();
         assert_eq!(block.insts.len(), 3);
         assert!(block.insts.last().unwrap().inst.ends_basic_block());
+        for iwa in &block.insts {
+            assert_eq!(cache.table().fetch(iwa.addr), Some(*iwa));
+        }
+        assert_eq!(cache.table().fetch(block.end()), None);
+        assert_eq!(cache.block_count(), 1);
     }
 
     #[test]
     fn second_fetch_is_a_hit() {
         let image = image_with_branches();
         let mut cache = CodeCache::new();
-        cache.fetch(&image, image.entry).unwrap();
-        let (_, built) = cache.fetch(&image, image.entry).unwrap();
+        let first = cache.fetch(&image, image.entry).unwrap();
+        let (again, built) = cache.fetch(&image, image.entry).unwrap();
         assert_eq!(built, None);
+        assert_eq!(again, first.0);
         assert_eq!(cache.blocks_built, 1);
-        assert_eq!(cache.hits, 1);
     }
 
     #[test]
@@ -224,6 +419,8 @@ mod tests {
             cache.fetch(&image, 0x9_0000),
             Err(RuntimeError::AddressOutsideCode(_))
         ));
+        assert_eq!(cache.table().fetch(0x9_0000), None);
+        assert_eq!(cache.table().fetch(0), None, "below the segment");
     }
 
     #[test]
@@ -235,5 +432,217 @@ mod tests {
         assert_eq!(cache.block_count(), 0);
         let (_, built) = cache.fetch(&image, image.entry).unwrap();
         assert!(built.is_some());
+    }
+
+    /// The generation counter running out costs one pass over the table and nothing
+    /// else: stale slots stay stale, and the cache goes on from generation 1.
+    #[test]
+    fn generation_wrap_leaves_no_slot_live() {
+        let image = image_with_branches();
+        let mut cache = CodeCache::new();
+        cache.fetch(&image, image.entry).unwrap();
+        cache.table.generation = u32::MAX;
+        cache.fetch(&image, image.entry).unwrap();
+        cache.flush();
+        assert_eq!(cache.table.generation, 1);
+        assert_eq!(cache.table().fetch(image.entry), None);
+        let (_, built) = cache.fetch(&image, image.entry).unwrap();
+        assert_eq!(built, Some(image.entry));
+    }
+
+    /// An inner block built first, then the block that runs into it from above: a
+    /// patch in the shared tail ejects both, a patch above the inner block ejects the
+    /// outer one only — and un-caches the inner block's instructions with it.
+    #[test]
+    fn overlapping_blocks_are_ejected_by_what_they_contain() {
+        let image = image_with_branches();
+        let outer = CodeCache::build_block(&image, image.entry).unwrap();
+        let (mov, cmp, jcc) = (
+            outer.insts[0].addr,
+            outer.insts[1].addr,
+            outer.insts[2].addr,
+        );
+        let mut cache = CodeCache::new();
+        assert_eq!(cache.fetch(&image, cmp).unwrap().1, Some(cmp));
+        assert_eq!(cache.fetch(&image, mov).unwrap().1, Some(mov));
+        assert_eq!(cache.block_count(), 2);
+        assert_eq!(cache.eject_blocks_containing(jcc), 2);
+        assert_eq!(cache.block_count(), 0);
+
+        cache.fetch(&image, cmp).unwrap();
+        cache.fetch(&image, mov).unwrap();
+        assert_eq!(cache.eject_blocks_containing(mov), 1);
+        assert_eq!(
+            cache.block_count(),
+            1,
+            "the inner block is still in the set"
+        );
+        assert_eq!(
+            cache.table().fetch(cmp),
+            None,
+            "but its instructions are not"
+        );
+        assert_eq!(
+            cache.eject_blocks_containing(jcc),
+            1,
+            "and it is still ejected"
+        );
+        assert_eq!(cache.blocks_ejected, 4);
+        assert_eq!(cache.eject_blocks_containing(jcc), 0);
+    }
+
+    /// The cache as it was before the dense table — two hash maps and a linear search
+    /// per ejection — kept as the model the table is held to.
+    #[derive(Default)]
+    struct ModelCache {
+        blocks: HashMap<Addr, BasicBlock>,
+        inst_index: HashMap<Addr, InstWithAddr>,
+        blocks_built: u64,
+        blocks_ejected: u64,
+    }
+
+    impl ModelCache {
+        fn fetch(
+            &mut self,
+            image: &BinaryImage,
+            addr: Addr,
+        ) -> Result<(InstWithAddr, Option<Addr>), RuntimeError> {
+            if let Some(iwa) = self.inst_index.get(&addr) {
+                return Ok((*iwa, None));
+            }
+            let block = CodeCache::build_block(image, addr)?;
+            let start = block.start;
+            for iwa in &block.insts {
+                self.inst_index.insert(iwa.addr, *iwa);
+            }
+            let first = block.insts[0];
+            self.blocks.insert(start, block);
+            self.blocks_built += 1;
+            Ok((first, Some(start)))
+        }
+
+        fn eject_blocks_containing(&mut self, addr: Addr) -> usize {
+            let stale: Vec<Addr> = self
+                .blocks
+                .values()
+                .filter(|b| b.insts.iter().any(|i| i.addr == addr))
+                .map(|b| b.start)
+                .collect();
+            for start in &stale {
+                if let Some(block) = self.blocks.remove(start) {
+                    for iwa in &block.insts {
+                        self.inst_index.remove(&iwa.addr);
+                    }
+                    self.blocks_ejected += 1;
+                }
+            }
+            stale.len()
+        }
+
+        fn flush(&mut self) {
+            self.blocks.clear();
+            self.inst_index.clear();
+        }
+    }
+
+    /// A program from a byte string: short straight-line runs broken by every kind of
+    /// block end, with jump targets anywhere in the segment (mid-instruction too) and
+    /// small immediates, so that an operand word read as an opcode is often a valid one.
+    fn random_image(shape: &[(u8, u8)]) -> BinaryImage {
+        let mut b = ProgramBuilder::new();
+        let main = b.function("main");
+        let base = b.here();
+        let target = |t: u8| base + (t as Addr % (3 * shape.len() as Addr));
+        for &(kind, t) in shape {
+            match kind % 12 {
+                0 | 1 => b.mov(Reg::Eax, (t % 24) as u32),
+                2 => b.add(Reg::Ebx, Reg::Eax),
+                3 => b.cmp(Reg::Eax, (t % 24) as u32),
+                4 => b.nop(),
+                5 => b.push(Reg::Eax),
+                6 => b.emit(Inst::Jcc {
+                    cond: Cond::Eq,
+                    target: target(t),
+                }),
+                7 => b.emit(Inst::Jmp { target: target(t) }),
+                8 => b.emit(Inst::Call { target: target(t) }),
+                9 => b.emit(Inst::CallIndirect {
+                    target: Operand::Reg(Reg::Eax),
+                }),
+                10 => b.ret(),
+                _ => b.halt(),
+            };
+        }
+        b.set_entry(main);
+        b.build().unwrap()
+    }
+
+    /// Where the steps aim: block starts, the instructions inside them, the words inside
+    /// instructions, the last code word and the first address past the segment.
+    fn biased_addr(image: &BinaryImage, pick: u16) -> Addr {
+        let words = image.code.len() as Addr;
+        match pick % 8 {
+            0 => image.layout.code_base + words - 1,
+            1 => image.layout.code_base + words,
+            _ => image.layout.code_base + (pick as Addr / 8) % words,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random fetches, ejections and flushes agree with the hash-map model after
+        /// every step: the same instruction or error, the same newly built block, the
+        /// same return from an ejection, the same counters and the same live blocks.
+        #[test]
+        fn dense_cache_matches_the_hash_map_model(
+            shape in prop::collection::vec((any::<u8>(), any::<u8>()), 4..60),
+            steps in prop::collection::vec((0u8..16, any::<u16>()), 1..300),
+        ) {
+            let image = random_image(&shape);
+            let (mut cache, mut model) = (CodeCache::new(), ModelCache::default());
+            for &(op, pick) in &steps {
+                let addr = biased_addr(&image, pick);
+                match op {
+                    0 => {
+                        cache.flush();
+                        model.flush();
+                    }
+                    1..=4 => prop_assert_eq!(
+                        cache.eject_blocks_containing(addr),
+                        model.eject_blocks_containing(addr)
+                    ),
+                    _ => match (cache.fetch(&image, addr), model.fetch(&image, addr)) {
+                        (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+                        (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                        (got, want) => prop_assert!(false, "{got:?} vs {want:?} at {addr:#x}"),
+                    },
+                }
+                prop_assert_eq!(cache.blocks_built, model.blocks_built);
+                prop_assert_eq!(cache.blocks_ejected, model.blocks_ejected);
+                prop_assert_eq!(cache.block_count(), model.blocks.len());
+            }
+            // What is cached at the end, address by address.
+            for offset in 0..=image.code.len() as Addr {
+                let addr = image.layout.code_base + offset;
+                prop_assert_eq!(cache.table().fetch(addr), model.inst_index.get(&addr).copied());
+            }
+        }
+
+        /// The pre-built table is live exactly where a cold cache's fetch succeeds, and
+        /// holds the same instruction there.
+        #[test]
+        fn prebuilt_table_matches_a_cold_fetch_everywhere(
+            shape in prop::collection::vec((any::<u8>(), any::<u8>()), 4..60),
+        ) {
+            let image = random_image(&shape);
+            let table = CodeTable::prebuilt(&image);
+            prop_assert_eq!(table.len(), image.code.len());
+            for offset in 0..=image.code.len() as Addr {
+                let addr = image.layout.code_base + offset;
+                let cold = CodeCache::new().fetch(&image, addr).ok().map(|(iwa, _)| iwa);
+                prop_assert_eq!(table.fetch(addr), cold);
+            }
+        }
     }
 }

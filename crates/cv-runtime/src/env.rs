@@ -7,12 +7,12 @@
 //! transfer through the Memory Firewall, applies Heap Guard to heap writes, maintains
 //! the Shadow Stack, and reports failures with their failure locations.
 
-use crate::cache::CodeCache;
+use crate::cache::{CodeCache, CodeTable};
 use crate::error::{CrashInfo, CrashKind, RuntimeError};
 use crate::hooks::{Hook, HookAction, HookContext, HookId, HookRegistry, Observation};
 use crate::machine::{Machine, MemFault};
 use crate::monitors::{Failure, FailureKind, MonitorConfig, ShadowStack, StackFrame};
-use crate::shared::{CodeIndex, SharedProgram};
+use crate::shared::SharedProgram;
 use crate::stats::ExecutionStats;
 use crate::trace::{AddrComputation, ExecEvent, OperandValue, Tracer};
 use cv_isa::{decode, Addr, BinaryImage, Inst, InstWithAddr, Reg, Word};
@@ -103,7 +103,8 @@ enum StepEnd {
 
 /// Where instructions come from: a private on-demand code cache (the classic shape,
 /// required for tracing's first-execution block signals) or a fleet-shared pre-decoded
-/// index plus the pristine address space its machines read from.
+/// index plus the pristine address space its machines read from. Either way the run
+/// loop fetches from one [`CodeTable`]; the shapes differ in what a miss means.
 enum Fetch {
     /// Private cache; each run loads the image's pages into its own memory.
     Classic(CodeCache),
@@ -111,9 +112,19 @@ enum Fetch {
     /// Untraced runs are observationally identical to `Classic`; block
     /// first-execution tracer signals are not produced (nothing is ever "built").
     Shared {
-        index: Arc<CodeIndex>,
+        index: Arc<CodeTable>,
         pristine: Arc<[Word]>,
     },
+}
+
+impl Fetch {
+    #[inline]
+    fn table(&self) -> &CodeTable {
+        match self {
+            Fetch::Classic(cache) => cache.table(),
+            Fetch::Shared { index, .. } => index,
+        }
+    }
 }
 
 /// The managed execution environment for one application image.
@@ -129,10 +140,10 @@ impl ManagedExecutionEnvironment {
     /// Create an environment for `image`.
     pub fn new(image: BinaryImage, config: EnvConfig) -> Self {
         ManagedExecutionEnvironment {
+            hooks: HookRegistry::for_code(image.layout.code_base, image.code.len()),
             image: Arc::new(image),
             config,
             fetch: Fetch::Classic(CodeCache::new()),
-            hooks: HookRegistry::new(),
             cumulative: ExecutionStats::default(),
         }
     }
@@ -150,7 +161,10 @@ impl ManagedExecutionEnvironment {
                 index: program.index().clone(),
                 pristine: program.pristine().clone(),
             },
-            hooks: HookRegistry::new(),
+            hooks: HookRegistry::for_code(
+                program.image().layout.code_base,
+                program.image().code.len(),
+            ),
             cumulative: ExecutionStats::default(),
         }
     }
@@ -185,7 +199,7 @@ impl ManagedExecutionEnvironment {
         self.hooks.len()
     }
 
-    /// Addresses that currently carry hooks.
+    /// Addresses that currently carry hooks, ascending.
     pub fn hooked_addrs(&self) -> Vec<Addr> {
         self.hooks.hooked_addrs()
     }
@@ -286,39 +300,13 @@ impl ManagedExecutionEnvironment {
             let eip = machine.eip;
 
             // ---- Fetch ------------------------------------------------------------
-            let iwa = if self.image.contains_code_addr(eip) {
-                match &mut self.fetch {
-                    Fetch::Classic(cache) => match cache.fetch(&self.image, eip) {
-                        Ok((iwa, newly_built)) => {
-                            if let Some(start) = newly_built {
-                                if let Some(tr) = tracer.as_mut() {
-                                    tr.on_block_first_execution(start);
-                                }
-                            }
-                            iwa
-                        }
-                        Err(_) => {
-                            break RunStatus::Crash(CrashInfo {
-                                kind: CrashKind::InvalidInstruction { addr: eip },
-                                location: eip,
-                            })
-                        }
-                    },
-                    // The index errs exactly where a fresh cache build would.
-                    Fetch::Shared { index, .. } => match index.fetch(eip) {
-                        Some(iwa) => iwa,
-                        None => {
-                            break RunStatus::Crash(CrashInfo {
-                                kind: CrashKind::InvalidInstruction { addr: eip },
-                                location: eip,
-                            })
-                        }
-                    },
-                }
-            } else {
-                // Executing outside the loaded image (injected code). Only reachable
-                // when the Memory Firewall is disabled; decode directly from memory.
-                match Self::decode_from_memory(&machine, eip) {
+            let iwa = match self.fetch.table().hit(eip) {
+                Some((&inst, len)) => InstWithAddr {
+                    addr: eip,
+                    inst,
+                    len,
+                },
+                None => match self.fetch_miss(&machine, eip, &mut tracer) {
                     Some(iwa) => iwa,
                     None => {
                         break RunStatus::Crash(CrashInfo {
@@ -326,7 +314,7 @@ impl ManagedExecutionEnvironment {
                             location: eip,
                         })
                     }
-                }
+                },
             };
 
             stats.instructions += 1;
@@ -352,8 +340,8 @@ impl ManagedExecutionEnvironment {
 
             // ---- Hooks (applied patches) -------------------------------------------
             let mut action = HookAction::Continue;
-            if let Some(entries) = self.hooks.by_addr.get_mut(&eip) {
-                for (id, hook) in entries.iter_mut() {
+            if let Some(entries) = self.hooks.at_mut(eip) {
+                for (id, hook) in entries {
                     stats.hook_invocations += 1;
                     let mut ctx =
                         HookContext::new(&mut machine, iwa.inst, eip, *id, &mut observations);
@@ -443,24 +431,52 @@ impl ManagedExecutionEnvironment {
         }
     }
 
+    /// The instruction at `eip` when the table does not hold it, or `None` where the
+    /// guest crashes on an invalid instruction. Inside the code segment the classic
+    /// cache builds the block that starts there (and tells the tracer), while the
+    /// pre-built index has already settled that the address does not decode; outside
+    /// it the guest is executing injected code, which is only reachable with the
+    /// Memory Firewall disabled and is decoded directly from memory.
+    #[cold]
+    fn fetch_miss(
+        &mut self,
+        machine: &Machine,
+        eip: Addr,
+        tracer: &mut Option<&mut dyn Tracer>,
+    ) -> Option<InstWithAddr> {
+        if !self.image.contains_code_addr(eip) {
+            return Self::decode_from_memory(machine, eip);
+        }
+        match &mut self.fetch {
+            Fetch::Classic(cache) => {
+                let (iwa, newly_built) = cache.fetch(&self.image, eip).ok()?;
+                if let (Some(start), Some(tr)) = (newly_built, tracer.as_mut()) {
+                    tr.on_block_first_execution(start);
+                }
+                Some(iwa)
+            }
+            Fetch::Shared { .. } => None,
+        }
+    }
+
     /// Decode one instruction directly from guest memory (execution of injected code
     /// when the Memory Firewall is disabled).
     fn decode_from_memory(machine: &Machine, eip: Addr) -> Option<InstWithAddr> {
-        let mut words = Vec::with_capacity(8);
-        for i in 0..8 {
-            match machine.read_mem(eip.wrapping_add(i)) {
-                Ok(w) => words.push(w),
+        let mut words = [0; 8];
+        let mut readable = 0;
+        for (i, word) in words.iter_mut().enumerate() {
+            match machine.read_mem(eip.wrapping_add(i as Addr)) {
+                Ok(w) => *word = w,
                 Err(_) => break,
             }
+            readable += 1;
         }
-        match decode(&words, 0) {
-            Ok((inst, len)) => Some(InstWithAddr {
-                addr: eip,
-                inst,
-                len,
-            }),
-            Err(_) => None,
-        }
+        let (inst, len) = decode(&words[..readable], 0).ok()?;
+        Some(InstWithAddr {
+            addr: eip,
+            inst,
+            len,
+        })
     }
 
     /// Validate a control transfer from `location` to `target`.
@@ -1029,6 +1045,204 @@ mod tests {
             assert_eq!(a.debug, b.debug);
             assert_eq!(a.observations, b.observations);
             assert_eq!(a.stats.instructions, b.stats.instructions);
+        }
+    }
+
+    /// A hook that records one observation and answers with a fixed action.
+    struct Answer(HookAction);
+    impl Hook for Answer {
+        fn on_execute(&mut self, ctx: &mut HookContext<'_>) -> HookAction {
+            ctx.observe(ObservationKind::Satisfied);
+            self.0
+        }
+    }
+
+    /// The doubling program on a classic and on a shared-program environment, and the
+    /// address of its `add`.
+    fn double_envs() -> ([ManagedExecutionEnvironment; 2], Addr) {
+        let image = double_program();
+        let add_addr = cv_isa::decode_all(&image.code, image.layout.code_base)
+            .unwrap()
+            .iter()
+            .find(|i| matches!(i.inst, Inst::Add { .. }))
+            .unwrap()
+            .addr;
+        let program = crate::shared::SharedProgram::new(image.clone());
+        let envs = [
+            ManagedExecutionEnvironment::new(image, EnvConfig::default()),
+            ManagedExecutionEnvironment::with_shared(&program, EnvConfig::default()),
+        ];
+        (envs, add_addr)
+    }
+
+    fn hooks_seen(r: &RunResult) -> Vec<HookId> {
+        r.observations.iter().map(|o| o.hook).collect()
+    }
+
+    #[test]
+    fn hooks_at_one_address_run_in_installation_order_until_one_redirects() {
+        let (envs, add_addr) = double_envs();
+        for mut env in envs {
+            let first = env.apply_hook(add_addr, Box::new(Answer(HookAction::Continue)));
+            let second = env.apply_hook(add_addr, Box::new(Answer(HookAction::SkipInstruction)));
+            let third = env.apply_hook(add_addr, Box::new(Answer(HookAction::Continue)));
+            let r = env.run(&[5]);
+            assert_eq!(
+                hooks_seen(&r),
+                vec![first, second],
+                "the skip shadows the third"
+            );
+            assert_eq!(r.stats.hook_invocations, 2);
+            assert_eq!(r.rendered, vec![5], "and the add did not execute");
+            // Without the redirecting hook the walk reaches the end of the list.
+            env.remove_hook(second).unwrap();
+            let r = env.run(&[5]);
+            assert_eq!(hooks_seen(&r), vec![first, third]);
+            assert_eq!(r.rendered, vec![10]);
+        }
+    }
+
+    #[test]
+    fn removing_one_of_two_hooks_leaves_the_other_firing() {
+        let (envs, add_addr) = double_envs();
+        for mut env in envs {
+            let first = env.apply_hook(add_addr, Box::new(Answer(HookAction::Continue)));
+            let second = env.apply_hook(add_addr, Box::new(Answer(HookAction::Continue)));
+            assert_eq!(hooks_seen(&env.run(&[1])), vec![first, second]);
+            env.remove_hook(first).unwrap();
+            assert_eq!(hooks_seen(&env.run(&[1])), vec![second]);
+            assert_eq!(env.hooked_addrs(), vec![add_addr]);
+            env.remove_hook(second).unwrap();
+            assert!(env.run(&[1]).observations.is_empty());
+            assert!(env.hooked_addrs().is_empty());
+        }
+    }
+
+    /// A patch applied to a warm cache takes effect on the next run — the hooked block
+    /// was ejected, and is rebuilt — and stops the run after it is removed.
+    #[test]
+    fn a_hook_applied_between_runs_of_a_warm_cache_fires_on_the_next_run() {
+        let (envs, add_addr) = double_envs();
+        for (shape, mut env) in envs.into_iter().enumerate() {
+            let classic = shape == 0;
+            env.run(&[3]);
+            let warm = env.run(&[3]);
+            assert_eq!(warm.stats.blocks_built, 0);
+            assert_eq!(warm.stats.hook_invocations, 0);
+
+            let id = env.apply_hook(add_addr, Box::new(Answer(HookAction::SkipInstruction)));
+            let patched = env.run(&[3]);
+            assert_eq!(hooks_seen(&patched), vec![id]);
+            assert_eq!(patched.rendered, vec![3]);
+            assert_eq!(
+                patched.stats.blocks_built, classic as u64,
+                "one block rebuilt"
+            );
+            assert_eq!(
+                env.run(&[3]).stats.blocks_built,
+                0,
+                "warm again, still patched"
+            );
+
+            env.remove_hook(id).unwrap();
+            let restored = env.run(&[3]);
+            assert!(restored.observations.is_empty());
+            assert_eq!(restored.rendered, vec![6]);
+            assert_eq!(restored.stats.blocks_built, classic as u64);
+        }
+    }
+
+    /// A hook outside the code segment has no site-table entry; it still fires when
+    /// the Memory Firewall is off and the guest executes injected code there — and the
+    /// instruction after it, also injected, is not mistaken for hooked.
+    #[test]
+    fn a_hook_on_injected_code_fires_when_the_firewall_is_off() {
+        let mut b = ProgramBuilder::new();
+        let main = b.new_label("main");
+        b.bind(main);
+        let mut payload = cv_isa::encode(Inst::Out {
+            src: Operand::Imm(0xEE11),
+            port: Port::Render,
+        });
+        payload.extend(cv_isa::encode(Inst::Halt));
+        let payload_addr = b.data_words(&payload);
+        b.call_indirect(payload_addr);
+        b.halt();
+        b.set_entry(main);
+        let image = b.build().unwrap();
+        assert!(!image.contains_code_addr(payload_addr));
+        let program = crate::shared::SharedProgram::new(image.clone());
+
+        for monitors in [MonitorConfig::bare(), MonitorConfig::full()] {
+            let config = EnvConfig::with_monitors(monitors);
+            for mut env in [
+                ManagedExecutionEnvironment::new(image.clone(), config),
+                ManagedExecutionEnvironment::with_shared(&program, config),
+            ] {
+                let in_code = env.apply_hook(image.entry, Box::new(Answer(HookAction::Continue)));
+                let injected = env.apply_hook(payload_addr, Box::new(Answer(HookAction::Continue)));
+                assert_eq!(env.hooked_addrs(), vec![image.entry, payload_addr]);
+                let r = env.run(&[]);
+                if monitors.memory_firewall {
+                    assert!(r.failure().is_some(), "blocked before the payload runs");
+                    assert_eq!(hooks_seen(&r), vec![in_code]);
+                } else {
+                    assert!(r.is_completed());
+                    assert_eq!(r.rendered, vec![0xEE11]);
+                    assert_eq!(hooks_seen(&r), vec![in_code, injected]);
+                    assert_eq!(r.stats.hook_invocations, 2);
+                    // A skip there redirects injected code like any other.
+                    env.remove_hook(injected).unwrap();
+                    env.apply_hook(payload_addr, Box::new(Answer(HookAction::SkipInstruction)));
+                    assert!(env.run(&[]).rendered.is_empty());
+                }
+            }
+        }
+    }
+
+    /// The cache's counters as the environment reports them: a run's `blocks_built`
+    /// is what that run decoded, and flushing makes the next run decode it all again.
+    #[test]
+    fn flush_makes_the_next_run_cold() {
+        let mut env = ManagedExecutionEnvironment::new(double_program(), EnvConfig::default());
+        let cold = env.run(&[1]).stats.blocks_built;
+        assert!(cold >= 3);
+        assert_eq!(env.run(&[1]).stats.blocks_built, 0);
+        env.flush_cache();
+        assert_eq!(env.run(&[1]).stats.blocks_built, cold);
+    }
+
+    /// Fetching is total: an address that does not decode — in the middle of the code
+    /// segment, on either environment shape — is an invalid-instruction crash there.
+    #[test]
+    fn an_undecodable_address_inside_the_code_crashes_the_guest() {
+        let mut b = ProgramBuilder::new();
+        let main = b.new_label("main");
+        b.bind(main);
+        b.input(Reg::Eax, Port::Input);
+        b.jmp_indirect(Reg::Eax);
+        // An operand word no opcode matches, reached by jumping into the instruction.
+        let mov = b.mov(Reg::Ebx, 0xFFFF_FFFFu32);
+        b.halt();
+        b.set_entry(main);
+        let image = b.build().unwrap();
+        let program = crate::shared::SharedProgram::new(image.clone());
+        let bad = (mov..image.code_end())
+            .find(|&a| CodeCache::build_block(&image, a).is_err())
+            .expect("an address that does not decode");
+        for mut env in [
+            ManagedExecutionEnvironment::new(image.clone(), EnvConfig::default()),
+            ManagedExecutionEnvironment::with_shared(&program, EnvConfig::default()),
+        ] {
+            assert!(env.run(&[mov]).is_completed());
+            let r = env.run(&[bad]);
+            assert_eq!(
+                r.status,
+                RunStatus::Crash(CrashInfo {
+                    kind: CrashKind::InvalidInstruction { addr: bad },
+                    location: bad,
+                })
+            );
         }
     }
 

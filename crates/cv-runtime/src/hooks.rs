@@ -8,6 +8,23 @@
 //! and write machine state, may emit invariant-check [`Observation`]s, and may redirect
 //! control (skip the instruction or return from the enclosing procedure) — the three
 //! repair actions of Section 2.5.
+//!
+//! # How a patch reaches the run loop
+//!
+//! The real system rebuilds a patched block with the instrumentation compiled into it,
+//! so an unpatched instruction pays nothing. [`HookRegistry`] gets the same property
+//! from a *site table*: one word per word of the code segment, laid over the same
+//! address range as the code cache's slots ([`CodeTable`](crate::CodeTable)), holding
+//! which hooked site — if any — sits at that address. "Does `eip` carry hooks" is one
+//! bounds check and one load, exact, with no hashing; an instruction without a patch
+//! stops there. The table is allocated by the first hook placed inside the code
+//! segment, so an unpatched environment carries none.
+//!
+//! A site keeps its hooks in installation order; they run in that order and the first
+//! action other than [`HookAction::Continue`] ends the walk. Hooks placed outside the
+//! code segment (a heap address that injected code reaches when the Memory Firewall is
+//! off) have no table entry: they are found by comparing addresses along the short
+//! list of sites, which the run loop only does when `eip` is outside the table.
 
 use crate::machine::Machine;
 use cv_isa::{Addr, Inst};
@@ -108,36 +125,104 @@ pub trait Hook: Send {
 /// A registered hook together with its id.
 pub(crate) type HookEntry = (HookId, Box<dyn Hook>);
 
+/// One hooked address and its hooks, in installation order.
+struct Site {
+    addr: Addr,
+    hooks: Vec<HookEntry>,
+}
+
 /// The per-environment registry of hooks, keyed by instruction address.
 #[derive(Default)]
 pub struct HookRegistry {
-    pub(crate) by_addr: HashMap<Addr, Vec<HookEntry>>,
+    code_base: Addr,
+    code_words: usize,
+    /// Per code word: 1 + the index in `sites` of the site at that address, 0 for none.
+    /// Empty until a hook is placed inside the code segment.
+    site_of: Vec<u32>,
+    /// Hooked addresses, inside the code segment and outside it, in no particular order.
+    sites: Vec<Site>,
     addr_of: HashMap<HookId, Addr>,
     next_id: HookId,
 }
 
 impl HookRegistry {
-    /// Create an empty registry.
+    /// Create an empty registry that knows no code segment: every site is found by
+    /// comparing addresses.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Create an empty registry for the code segment of `code_words` words at `code_base`.
+    pub fn for_code(code_base: Addr, code_words: usize) -> Self {
+        HookRegistry {
+            code_base,
+            code_words,
+            ..Self::default()
+        }
+    }
+
+    /// Index in `sites` of the site at `addr`.
+    #[inline]
+    fn site_index(&self, addr: Addr) -> Option<usize> {
+        match self.site_of.get(addr.wrapping_sub(self.code_base) as usize) {
+            Some(0) => None,
+            Some(&entry) => Some(entry as usize - 1),
+            None => self.sites.iter().position(|site| site.addr == addr),
+        }
+    }
+
+    /// The site-table entry for `addr`, if `addr` is inside the code segment.
+    fn table_entry(&mut self, addr: Addr) -> Option<&mut u32> {
+        let offset = addr.wrapping_sub(self.code_base) as usize;
+        if offset < self.code_words && self.site_of.is_empty() {
+            self.site_of = vec![0; self.code_words];
+        }
+        self.site_of.get_mut(offset)
+    }
+
+    /// The hooks to run before the instruction at `addr`, in installation order.
+    #[inline]
+    pub(crate) fn at_mut(&mut self, addr: Addr) -> Option<&mut [HookEntry]> {
+        let index = self.site_index(addr)?;
+        Some(&mut self.sites[index].hooks)
     }
 
     /// Register a hook at `addr`; returns its id.
     pub fn add(&mut self, addr: Addr, hook: Box<dyn Hook>) -> HookId {
         let id = self.next_id;
         self.next_id += 1;
-        self.by_addr.entry(addr).or_default().push((id, hook));
         self.addr_of.insert(id, addr);
+        match self.site_index(addr) {
+            Some(index) => self.sites[index].hooks.push((id, hook)),
+            None => {
+                self.sites.push(Site {
+                    addr,
+                    hooks: vec![(id, hook)],
+                });
+                let entry = self.sites.len() as u32;
+                if let Some(slot) = self.table_entry(addr) {
+                    *slot = entry;
+                }
+            }
+        }
         id
     }
 
     /// Remove a hook by id. Returns the address it was attached to, if it existed.
     pub fn remove(&mut self, id: HookId) -> Option<Addr> {
         let addr = self.addr_of.remove(&id)?;
-        if let Some(list) = self.by_addr.get_mut(&addr) {
-            list.retain(|(hid, _)| *hid != id);
-            if list.is_empty() {
-                self.by_addr.remove(&addr);
+        let index = self.site_index(addr)?;
+        self.sites[index].hooks.retain(|(hid, _)| *hid != id);
+        if self.sites[index].hooks.is_empty() {
+            // The last site moves into the hole; its table entry follows it.
+            self.sites.swap_remove(index);
+            if let Some(slot) = self.table_entry(addr) {
+                *slot = 0;
+            }
+            if let Some(moved) = self.sites.get(index).map(|site| site.addr) {
+                if let Some(slot) = self.table_entry(moved) {
+                    *slot = index as u32 + 1;
+                }
             }
         }
         Some(addr)
@@ -160,17 +245,20 @@ impl HookRegistry {
 
     /// True if any hook is registered at `addr`.
     pub fn has_hooks_at(&self, addr: Addr) -> bool {
-        self.by_addr.contains_key(&addr)
+        self.site_index(addr).is_some()
     }
 
-    /// All addresses that currently have hooks.
+    /// All addresses that currently have hooks, ascending.
     pub fn hooked_addrs(&self) -> Vec<Addr> {
-        self.by_addr.keys().copied().collect()
+        let mut addrs: Vec<Addr> = self.sites.iter().map(|site| site.addr).collect();
+        addrs.sort_unstable();
+        addrs
     }
 
     /// Remove every hook.
     pub fn clear(&mut self) {
-        self.by_addr.clear();
+        self.site_of.fill(0);
+        self.sites.clear();
         self.addr_of.clear();
     }
 }
@@ -186,37 +274,45 @@ mod tests {
         }
     }
 
+    /// A registry over the code segment `0x1000..0x3000` and one that knows no segment:
+    /// the same addresses are table entries in one and list entries in the other.
+    fn registries() -> [HookRegistry; 2] {
+        [HookRegistry::for_code(0x1000, 0x2000), HookRegistry::new()]
+    }
+
     #[test]
     fn add_and_remove_hooks() {
-        let mut reg = HookRegistry::new();
-        assert!(reg.is_empty());
-        let a = reg.add(0x1000, Box::new(NopHook));
-        let b = reg.add(0x1000, Box::new(NopHook));
-        let c = reg.add(0x2000, Box::new(NopHook));
-        assert_eq!(reg.len(), 3);
-        assert!(reg.has_hooks_at(0x1000));
-        assert_eq!(reg.addr_of(b), Some(0x1000));
-        assert_eq!(reg.remove(a), Some(0x1000));
-        assert!(reg.has_hooks_at(0x1000), "second hook still present");
-        assert_eq!(reg.remove(b), Some(0x1000));
-        assert!(!reg.has_hooks_at(0x1000));
-        assert_eq!(reg.remove(b), None, "double remove is a no-op");
-        assert_eq!(reg.len(), 1);
-        let mut addrs = reg.hooked_addrs();
-        addrs.sort_unstable();
-        assert_eq!(addrs, vec![0x2000]);
-        assert_eq!(reg.remove(c), Some(0x2000));
-        assert!(reg.is_empty());
+        for mut reg in registries() {
+            assert!(reg.is_empty());
+            let a = reg.add(0x1000, Box::new(NopHook));
+            let b = reg.add(0x1000, Box::new(NopHook));
+            let c = reg.add(0x2000, Box::new(NopHook));
+            assert_eq!(reg.len(), 3);
+            assert!(reg.has_hooks_at(0x1000));
+            assert_eq!(reg.addr_of(b), Some(0x1000));
+            assert_eq!(reg.remove(a), Some(0x1000));
+            assert!(reg.has_hooks_at(0x1000), "second hook still present");
+            assert_eq!(reg.remove(b), Some(0x1000));
+            assert!(!reg.has_hooks_at(0x1000));
+            assert_eq!(reg.remove(b), None, "double remove is a no-op");
+            assert_eq!(reg.len(), 1);
+            assert_eq!(reg.hooked_addrs(), vec![0x2000]);
+            assert_eq!(reg.remove(c), Some(0x2000));
+            assert!(reg.is_empty());
+        }
     }
 
     #[test]
     fn clear_removes_everything() {
-        let mut reg = HookRegistry::new();
-        reg.add(1, Box::new(NopHook));
-        reg.add(2, Box::new(NopHook));
-        reg.clear();
-        assert!(reg.is_empty());
-        assert!(!reg.has_hooks_at(1));
+        for mut reg in registries() {
+            reg.add(0x1001, Box::new(NopHook));
+            reg.add(2, Box::new(NopHook));
+            reg.clear();
+            assert!(reg.is_empty());
+            assert!(!reg.has_hooks_at(0x1001));
+            assert!(!reg.has_hooks_at(2));
+            assert!(reg.hooked_addrs().is_empty());
+        }
     }
 
     #[test]
@@ -225,5 +321,78 @@ mod tests {
         let a = reg.add(1, Box::new(NopHook));
         let b = reg.add(1, Box::new(NopHook));
         assert!(b > a);
+    }
+
+    /// Hooked addresses come back ascending whatever the installation order, with
+    /// sites inside the code segment and outside it (below and above) in one list.
+    #[test]
+    fn hooked_addrs_are_ascending() {
+        for mut reg in registries() {
+            for addr in [0x2fff, 0x9_0000, 0x1000, 0x20, 0x1800, 0x1000] {
+                reg.add(addr, Box::new(NopHook));
+            }
+            assert_eq!(
+                reg.hooked_addrs(),
+                vec![0x20, 0x1000, 0x1800, 0x2fff, 0x9_0000]
+            );
+        }
+    }
+
+    /// Removing a site moves another into its place; every remaining site must still
+    /// be found, with its own hooks in their installation order.
+    #[test]
+    fn removing_sites_in_any_order_keeps_the_others_reachable() {
+        let addrs = [0x1000, 0x9_0000, 0x1005, 0x20, 0x2fff, 0x1800];
+        for first_out in 0..addrs.len() {
+            for mut reg in registries() {
+                let ids: Vec<(HookId, HookId)> = addrs
+                    .iter()
+                    .map(|&a| (reg.add(a, Box::new(NopHook)), reg.add(a, Box::new(NopHook))))
+                    .collect();
+                for step in 0..addrs.len() {
+                    let gone = (first_out + step * 5) % addrs.len();
+                    assert_eq!(reg.remove(ids[gone].0), Some(addrs[gone]));
+                    let left: Vec<HookId> = reg
+                        .at_mut(addrs[gone])
+                        .expect("one hook left")
+                        .iter()
+                        .map(|(id, _)| *id)
+                        .collect();
+                    assert_eq!(left, vec![ids[gone].1]);
+                    assert_eq!(reg.remove(ids[gone].1), Some(addrs[gone]));
+                    assert!(reg.at_mut(addrs[gone]).is_none());
+                    for later in step + 1..addrs.len() {
+                        let kept = (first_out + later * 5) % addrs.len();
+                        let hooks: Vec<HookId> = reg
+                            .at_mut(addrs[kept])
+                            .expect("untouched site")
+                            .iter()
+                            .map(|(id, _)| *id)
+                            .collect();
+                        assert_eq!(hooks, vec![ids[kept].0, ids[kept].1]);
+                    }
+                }
+                assert!(reg.is_empty());
+                assert!(reg.hooked_addrs().is_empty());
+            }
+        }
+    }
+
+    /// An unhooked address next to hooked ones is never mistaken for one — inside the
+    /// table, at its two edges, and outside it.
+    #[test]
+    fn the_site_test_is_exact() {
+        for mut reg in registries() {
+            for addr in [0x1000, 0x2fff, 0x3000, 0xfff] {
+                reg.add(addr, Box::new(NopHook));
+            }
+            for addr in [0x1001, 0x2ffe, 0x3001, 0xffe, 0, u32::MAX] {
+                assert!(!reg.has_hooks_at(addr), "{addr:#x}");
+                assert!(reg.at_mut(addr).is_none());
+            }
+            for addr in [0x1000, 0x2fff, 0x3000, 0xfff] {
+                assert_eq!(reg.at_mut(addr).map(|hooks| hooks.len()), Some(1));
+            }
+        }
     }
 }

@@ -11,11 +11,14 @@
 //!
 //! * [`Machine`] — registers, flags, memory, the canary-bracketing heap allocator, and
 //!   I/O ports.
-//! * [`CodeCache`] / [`BasicBlock`] — blocks decoded on first execution, ejected when
-//!   patches are applied or removed.
+//! * [`CodeCache`] / [`CodeTable`] / [`BasicBlock`] — one dense table of decoded
+//!   instructions, filled a block at a time on first execution; blocks are ejected when
+//!   patches are applied or removed. [`SharedProgram`] shares the same table, filled
+//!   up front, across a fleet.
 //! * [`Hook`] / [`HookRegistry`] — the plugin/patch interface: run before an
 //!   instruction, read and write guest state, emit invariant-check observations, skip
-//!   the instruction, or return from the enclosing procedure.
+//!   the instruction, or return from the enclosing procedure. Which addresses carry
+//!   hooks is a table over the code segment, so an unpatched instruction pays one load.
 //! * [`MemoryFirewall`-style validation, `HeapGuard` checks, and the `ShadowStack`]
 //!   — see [`MonitorConfig`], [`Failure`], [`FailureKind`].
 //! * [`ManagedExecutionEnvironment`] — ties it all together and reports a [`RunResult`]
@@ -38,7 +41,7 @@ mod shared;
 mod stats;
 mod trace;
 
-pub use cache::{BasicBlock, CodeCache};
+pub use cache::{BasicBlock, CodeCache, CodeTable};
 pub use env::{EnvConfig, ManagedExecutionEnvironment, RunResult, RunStatus};
 pub use error::{CrashInfo, CrashKind, RuntimeError};
 pub use heap::{Allocation, HeapAllocator, CANARY};
@@ -48,7 +51,7 @@ pub use hooks::{
 pub use machine::{CopyOutcome, Machine, MemFault};
 pub use memory::{Memory, PAGE_WORDS};
 pub use monitors::{Failure, FailureKind, MonitorConfig, ShadowStack, StackFrame};
-pub use shared::{CodeIndex, SharedProgram};
+pub use shared::SharedProgram;
 pub use stats::{CostModel, ExecutionStats};
 pub use trace::{
     AddrComputation, BufferedEvent, ExecEvent, OperandValue, RecordingTracer, RunBuffer, Tracer,

@@ -12,70 +12,26 @@
 //!   [`Memory::load`](crate::Memory::load) would produce — which every machine's
 //!   memory reads from ([`Memory::cow`](crate::Memory::cow)); a run owns only the
 //!   pages it writes, not even the image's,
-//! * a [`CodeIndex`]: every code address pre-decoded once, replacing the per-run
-//!   warm-up of a private [`CodeCache`](crate::CodeCache).
+//! * the **index**: a [`CodeTable`] with every code address decoded up front
+//!   ([`CodeTable::prebuilt`]), replacing the per-run warm-up of a private
+//!   [`CodeCache`](crate::CodeCache).
 //!
 //! Both shapes run on the one paged memory: set-up is O(pages touched) either way.
 //!
-//! The index is exactly faithful to the classic cache's fetch semantics: the cache
-//! serves the context-free decode at the fetched address and errors iff
+//! The index is not a second instruction store beside the cache: it is the cache's own
+//! slot table, filled once instead of a block at a time and never ejected from or
+//! flushed, so the run loop fetches from either through the same call. It is exactly
+//! faithful to the classic cache's fetch semantics: the cache serves the context-free
+//! decode at the fetched address and errors iff
 //! [`CodeCache::build_block`](crate::CodeCache::build_block) errors from that address
 //! (a cache hit at an address implies the whole suffix of its block decodes, so the
-//! error set is independent of cache state).
+//! error set is independent of cache state). Patches reach a shared-program environment
+//! through its own [`HookRegistry`](crate::HookRegistry) site table; nothing is rebuilt
+//! because nothing the index holds depends on them.
 
-use crate::cache::CodeCache;
-use cv_isa::{Addr, BinaryImage, InstWithAddr, Word};
+use crate::cache::CodeTable;
+use cv_isa::{BinaryImage, Word};
 use std::sync::Arc;
-
-/// Every code address of an image, pre-decoded once.
-///
-/// `fetch` returns `None` exactly where the classic cache's fetch would crash the
-/// guest with an invalid-instruction error.
-#[derive(Debug)]
-pub struct CodeIndex {
-    code_base: Addr,
-    insts: Vec<Option<InstWithAddr>>,
-}
-
-impl CodeIndex {
-    /// Decode every address of `image`'s code segment.
-    pub fn build(image: &BinaryImage) -> CodeIndex {
-        let insts = (0..image.code.len())
-            .map(|offset| {
-                let addr = image.layout.code_base + offset as Addr;
-                CodeCache::build_block(image, addr)
-                    .ok()
-                    .map(|block| block.insts[0])
-            })
-            .collect();
-        CodeIndex {
-            code_base: image.layout.code_base,
-            insts,
-        }
-    }
-
-    /// The instruction at `addr`, or `None` if the address does not decode (the
-    /// invalid-instruction case).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is outside the code segment the index was built for; callers
-    /// gate on `contains_code_addr` exactly as the classic fetch path does.
-    #[inline]
-    pub fn fetch(&self, addr: Addr) -> Option<InstWithAddr> {
-        self.insts[(addr - self.code_base) as usize]
-    }
-
-    /// Addresses indexed (the code segment length in words).
-    pub fn len(&self) -> usize {
-        self.insts.len()
-    }
-
-    /// True for an empty code segment.
-    pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-}
 
 /// The shared, immutable half of a fleet's execution state: image, pristine address
 /// space, and pre-decoded code. Clones are `Arc` bumps.
@@ -83,7 +39,7 @@ impl CodeIndex {
 pub struct SharedProgram {
     image: Arc<BinaryImage>,
     pristine: Arc<[Word]>,
-    index: Arc<CodeIndex>,
+    index: Arc<CodeTable>,
 }
 
 impl SharedProgram {
@@ -95,7 +51,7 @@ impl SharedProgram {
         let (cb, db) = (layout.code_base as usize, layout.data_base as usize);
         words[cb..cb + image.code.len()].copy_from_slice(&image.code);
         words[db..db + image.data.len()].copy_from_slice(&image.data);
-        let index = Arc::new(CodeIndex::build(&image));
+        let index = Arc::new(CodeTable::prebuilt(&image));
         SharedProgram {
             image: Arc::new(image),
             pristine,
@@ -114,7 +70,7 @@ impl SharedProgram {
     }
 
     /// The pre-decoded code index.
-    pub fn index(&self) -> &Arc<CodeIndex> {
+    pub fn index(&self) -> &Arc<CodeTable> {
         &self.index
     }
 
@@ -123,17 +79,17 @@ impl SharedProgram {
     pub fn resident_bytes(&self) -> usize {
         let word = std::mem::size_of::<Word>();
         let image = (self.image.code.len() + self.image.data.len()) * word;
-        let index = self.index.insts.len() * std::mem::size_of::<Option<InstWithAddr>>();
-        image + self.pristine.len() * word + index
+        image + self.pristine.len() * word + self.index.resident_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CodeCache;
     use crate::error::RuntimeError;
     use crate::memory::Memory;
-    use cv_isa::{Cond, ProgramBuilder, Reg};
+    use cv_isa::{Addr, Cond, ProgramBuilder, Reg};
 
     fn image() -> BinaryImage {
         let mut b = ProgramBuilder::new();
@@ -165,6 +121,23 @@ mod tests {
             }
         }
         assert_eq!(program.index().len(), image.code.len());
+        // Outside the segment a fetch is a miss, not a panic.
+        assert_eq!(program.index().fetch(image.code_end()), None);
+        assert_eq!(program.index().fetch(image.layout.code_base - 1), None);
+        assert_eq!(program.index().fetch(image.layout.heap_base), None);
+    }
+
+    /// The index costs what it did as a vector of optional instructions: 32 bytes a
+    /// code word, the figure the fleets' `bytes_per_member` was measured with.
+    #[test]
+    fn resident_bytes_count_the_index_at_32_bytes_a_word() {
+        let image = image();
+        let words = image.code.len() + image.data.len() + image.layout.total_words();
+        let program = SharedProgram::new(image.clone());
+        assert_eq!(
+            program.resident_bytes(),
+            words * std::mem::size_of::<Word>() + image.code.len() * 32
+        );
     }
 
     #[test]
