@@ -579,6 +579,12 @@ impl EventEngine {
     /// Bytes of state shared across all members (amortized per member in
     /// `bytes_per_member`): the shared program, the config table, and the
     /// per-worker materialized environments.
+    ///
+    /// An estimate, and a low one. Of each materialized environment it leaves out the
+    /// hook registry's site table (4 bytes a code word) and the guest the environment
+    /// keeps between runs: a page table of 16 bytes a page — 20 KB on the default
+    /// layout — and up to 32 KB of spare page buffers. Counting them would move
+    /// `bytes_per_member`, so that is a change of its own (ROADMAP C(c)).
     pub fn shared_state_bytes(&self) -> u64 {
         // Estimates: a unit holds a patch (invariant, strategy) — call it 160 B;
         // a materialized env is hooks plus registry plus fixed overhead.

@@ -6,6 +6,15 @@
 //! run before instructions and mutate state or redirect control, validates every control
 //! transfer through the Memory Firewall, applies Heap Guard to heap writes, maintains
 //! the Shadow Stack, and reports failures with their failure locations.
+//!
+//! Like the real environment — one long-lived managed process — it builds nothing per
+//! run that it already owns. The first run constructs a guest (a [`Machine`] and a
+//! [`ShadowStack`]); the environment keeps it, and every later run resets it, which
+//! costs the pages the last run dirtied ([`Machine::reset`]). The guest is `take()`n
+//! out of the environment for the duration of a run and put back at its end, after the
+//! run's pages have gone back to the memory's spare list. A hook that panics therefore
+//! unwinds with the guest — the environment is left holding `None`, and its next run
+//! constructs afresh rather than resetting a machine abandoned mid-instruction.
 
 use crate::cache::{CodeCache, CodeTable};
 use crate::error::{CrashInfo, CrashKind, RuntimeError};
@@ -127,6 +136,12 @@ impl Fetch {
     }
 }
 
+/// What a run executes on, kept by the environment from one run to the next.
+struct Guest {
+    machine: Machine,
+    shadow: ShadowStack,
+}
+
 /// The managed execution environment for one application image.
 pub struct ManagedExecutionEnvironment {
     image: Arc<BinaryImage>,
@@ -134,6 +149,9 @@ pub struct ManagedExecutionEnvironment {
     fetch: Fetch,
     hooks: HookRegistry,
     cumulative: ExecutionStats,
+    /// The last run's guest, which the next run resets instead of building its own;
+    /// `None` before the first run and for the duration of every run (module docs).
+    guest: Option<Guest>,
 }
 
 impl ManagedExecutionEnvironment {
@@ -145,6 +163,7 @@ impl ManagedExecutionEnvironment {
             config,
             fetch: Fetch::Classic(CodeCache::new()),
             cumulative: ExecutionStats::default(),
+            guest: None,
         }
     }
 
@@ -166,6 +185,7 @@ impl ManagedExecutionEnvironment {
                 program.image().code.len(),
             ),
             cumulative: ExecutionStats::default(),
+            guest: None,
         }
     }
 
@@ -258,18 +278,8 @@ impl ManagedExecutionEnvironment {
     /// Run the application on `input`, optionally delivering a full execution trace to
     /// `tracer` (the learning configuration).
     pub fn run_traced(&mut self, input: &[Word], mut tracer: Option<&mut dyn Tracer>) -> RunResult {
-        let mut machine = match &self.fetch {
-            Fetch::Shared { pristine, .. } => Machine::with_cow(
-                &self.image,
-                pristine.clone(),
-                input.to_vec(),
-                self.config.monitors.heap_guard,
-            ),
-            Fetch::Classic(_) => {
-                Machine::new(&self.image, input.to_vec(), self.config.monitors.heap_guard)
-            }
-        };
-        let mut shadow = ShadowStack::new();
+        let mut guest = self.take_guest(input);
+        let Guest { machine, shadow } = &mut guest;
         let mut observations: Vec<Observation> = Vec::new();
         let mut stats = ExecutionStats {
             runs: 1,
@@ -306,7 +316,7 @@ impl ManagedExecutionEnvironment {
                     inst,
                     len,
                 },
-                None => match self.fetch_miss(&machine, eip, &mut tracer) {
+                None => match self.fetch_miss(machine, eip, &mut tracer) {
                     Some(iwa) => iwa,
                     None => {
                         break RunStatus::Crash(CrashInfo {
@@ -322,7 +332,7 @@ impl ManagedExecutionEnvironment {
             // ---- Trace ------------------------------------------------------------
             if let Some(tr) = tracer.as_mut() {
                 if tr.wants_addr(eip) {
-                    Self::fill_exec_event(&machine, &iwa, &mut scratch);
+                    Self::fill_exec_event(machine, &iwa, &mut scratch);
                     tr.on_inst(&scratch);
                     stats.trace_events += 1;
                 }
@@ -343,8 +353,7 @@ impl ManagedExecutionEnvironment {
             if let Some(entries) = self.hooks.at_mut(eip) {
                 for (id, hook) in entries {
                     stats.hook_invocations += 1;
-                    let mut ctx =
-                        HookContext::new(&mut machine, iwa.inst, eip, *id, &mut observations);
+                    let mut ctx = HookContext::new(machine, iwa.inst, eip, *id, &mut observations);
                     let a = hook.on_execute(&mut ctx);
                     if !matches!(a, HookAction::Continue) {
                         action = a;
@@ -361,18 +370,9 @@ impl ManagedExecutionEnvironment {
                 HookAction::ReturnFromProcedure { sp_adjust } => {
                     let sp = machine.reg(Reg::Esp);
                     machine.set_reg(Reg::Esp, sp.wrapping_add(sp_adjust as u32));
-                    Self::do_return(
-                        &self.image,
-                        &self.config,
-                        &mut machine,
-                        &mut shadow,
-                        &mut stats,
-                        eip,
-                    )
+                    Self::do_return(&self.image, &self.config, machine, shadow, &mut stats, eip)
                 }
-                HookAction::Continue => {
-                    self.execute_instruction(&iwa, &mut machine, &mut shadow, &mut stats)
-                }
+                HookAction::Continue => self.execute_instruction(&iwa, machine, shadow, &mut stats),
             };
 
             match end {
@@ -394,13 +394,37 @@ impl ManagedExecutionEnvironment {
         }
         self.cumulative.merge(&stats);
 
-        let (rendered, debug) = machine.into_outputs();
+        let (rendered, debug) = machine.take_outputs();
+        machine.release_pages();
+        self.guest = Some(guest);
         RunResult {
             status,
             rendered,
             debug,
             stats,
             observations,
+        }
+    }
+
+    /// The guest for a run on `input`, taken out of the environment: the last run's,
+    /// reset, or on the first run (and the first after a run that panicked) a new one.
+    fn take_guest(&mut self, input: &[Word]) -> Guest {
+        let heap_guard = self.config.monitors.heap_guard;
+        match self.guest.take() {
+            Some(mut guest) => {
+                guest.machine.reset(&self.image, input, heap_guard);
+                guest.shadow.reset();
+                guest
+            }
+            None => Guest {
+                machine: match &self.fetch {
+                    Fetch::Shared { pristine, .. } => {
+                        Machine::with_cow(&self.image, pristine.clone(), input.to_vec(), heap_guard)
+                    }
+                    Fetch::Classic(_) => Machine::new(&self.image, input.to_vec(), heap_guard),
+                },
+                shadow: ShadowStack::new(),
+            },
         }
     }
 
@@ -1243,6 +1267,35 @@ mod tests {
                     location: bad,
                 })
             );
+        }
+    }
+
+    /// The guest is out of the environment while a run is on it: a hook that panics
+    /// takes it down with the run, and the next run builds a new one rather than
+    /// resetting a machine that stopped half-way through an instruction.
+    #[test]
+    fn a_panicking_hook_costs_the_environment_its_guest_and_nothing_else() {
+        struct Bomb;
+        impl Hook for Bomb {
+            fn on_execute(&mut self, ctx: &mut HookContext<'_>) -> HookAction {
+                ctx.machine.set_reg(Reg::Eax, 999);
+                panic!("hook bug");
+            }
+        }
+        let (envs, add_addr) = double_envs();
+        for mut env in envs {
+            assert!(env.guest.is_none());
+            assert_eq!(env.run(&[21]).rendered, vec![42]);
+            assert!(env.guest.is_some());
+            let bomb = env.apply_hook(add_addr, Box::new(Bomb));
+            let run = std::panic::AssertUnwindSafe(|| env.run(&[1]));
+            assert!(std::panic::catch_unwind(run).is_err());
+            assert!(env.guest.is_none());
+            env.remove_hook(bomb).unwrap();
+            let r = env.run(&[4]);
+            assert!(r.is_completed());
+            assert_eq!(r.rendered, vec![8]);
+            assert!(env.guest.is_some());
         }
     }
 

@@ -64,6 +64,16 @@ impl HeapAllocator {
         }
     }
 
+    /// Forget every allocation: back to what [`HeapAllocator::new`] produced, keeping the
+    /// free list's capacity.
+    pub(crate) fn reset(&mut self) {
+        self.frontier = self.layout.heap_base;
+        self.live.clear();
+        self.free_list.clear();
+        self.alloc_count = 0;
+        self.free_count = 0;
+    }
+
     /// Allocate `size` user words; returns the address of the first user word.
     ///
     /// A `size` of zero is rounded up to one word (as most `malloc` implementations
@@ -255,6 +265,25 @@ mod tests {
         // past the original frontier region.
         let c = heap.alloc(&mut mem, 4).unwrap();
         assert!(c > b);
+    }
+
+    /// After a reset the allocator places, reuses and counts exactly as a new one does.
+    #[test]
+    fn reset_forgets_every_allocation_and_free_block() {
+        let (mut mem, mut heap) = setup();
+        let a = heap.alloc(&mut mem, 8).unwrap();
+        heap.alloc(&mut mem, 3).unwrap();
+        heap.free(a).unwrap();
+        heap.reset();
+        assert_eq!(
+            (heap.live_count(), heap.alloc_count, heap.free_count),
+            (0, 0, 0)
+        );
+        assert!(heap.free(a).is_err(), "nothing is live");
+        let (_, mut fresh) = setup();
+        for size in [3, 8, 1] {
+            assert_eq!(heap.alloc(&mut mem, size), fresh.alloc(&mut mem, size));
+        }
     }
 
     #[test]

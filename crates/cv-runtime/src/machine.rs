@@ -4,6 +4,11 @@
 //! I/O). Control-flow instructions are executed by the
 //! [`crate::env::ManagedExecutionEnvironment`], which needs to interpose the Memory
 //! Firewall and the Shadow Stack on every transfer.
+//!
+//! A machine serves one run at a time and any number in turn. [`Machine::reset`] is the
+//! initialiser: the constructors build an empty machine and put it through the very
+//! `reset` that an environment calls between runs, so "a machine that was used and
+//! reset" and "a machine that was just built" are one code path and cannot drift apart.
 
 use crate::error::CrashKind;
 use crate::heap::{HeapAllocator, CANARY};
@@ -40,7 +45,7 @@ pub struct CopyOutcome {
     pub clamped: bool,
 }
 
-/// The guest CPU, memory, heap, and I/O state for one run.
+/// The guest CPU, memory, heap, and I/O state of one run at a time.
 #[derive(Debug, Clone)]
 pub struct Machine {
     regs: [Word; 8],
@@ -63,7 +68,7 @@ impl Machine {
     /// Create a machine with `image` loaded, the given input stream, and Heap Guard
     /// enabled or not.
     pub fn new(image: &BinaryImage, input: Vec<Word>, heap_guard_enabled: bool) -> Machine {
-        Self::with_memory(image, Memory::load(image), input, heap_guard_enabled)
+        Self::over(Memory::new(image.layout), image, &input, heap_guard_enabled)
     }
 
     /// Create a machine whose address space reads from a shared pristine base (see
@@ -75,36 +80,48 @@ impl Machine {
         input: Vec<Word>,
         heap_guard_enabled: bool,
     ) -> Machine {
-        Self::with_memory(
-            image,
-            Memory::cow(image.layout, base),
-            input,
-            heap_guard_enabled,
-        )
+        let mem = Memory::cow(image.layout, base);
+        Self::over(mem, image, &input, heap_guard_enabled)
     }
 
-    pub(crate) fn with_memory(
-        image: &BinaryImage,
-        mem: Memory,
-        input: Vec<Word>,
-        heap_guard_enabled: bool,
-    ) -> Machine {
-        let layout = image.layout;
-        let mut regs = [0u32; 8];
-        regs[Reg::Esp.index()] = layout.initial_sp();
-        Machine {
-            regs,
+    /// A machine over the not yet initialised `mem`: empty, then reset. What the fields
+    /// hold before that first [`Machine::reset`] is never observed.
+    fn over(mem: Memory, image: &BinaryImage, input: &[Word], heap_guard_enabled: bool) -> Machine {
+        let mut machine = Machine {
+            regs: [0; 8],
             flags: Flags::default(),
-            eip: image.entry,
+            eip: 0,
             mem,
-            heap: HeapAllocator::new(layout),
-            heap_guard_enabled,
-            input,
+            heap: HeapAllocator::new(image.layout),
+            heap_guard_enabled: false,
+            input: Vec::new(),
             input_pos: 0,
             render_output: Vec::new(),
             debug_output: Vec::new(),
             heap_guard_checks: 0,
-        }
+        };
+        machine.reset(image, input, heap_guard_enabled);
+        machine
+    }
+
+    /// Start over on `input`: the state a machine is created in, whatever the last run
+    /// left behind (module docs). `image` must be the one the machine was created for.
+    /// Costs the pages the last run owned (see [`Memory`]); every buffer keeps its
+    /// capacity.
+    pub(crate) fn reset(&mut self, image: &BinaryImage, input: &[Word], heap_guard_enabled: bool) {
+        self.regs = [0; 8];
+        self.regs[Reg::Esp.index()] = image.layout.initial_sp();
+        self.flags = Flags::default();
+        self.eip = image.entry;
+        self.mem.reset(image);
+        self.heap.reset();
+        self.heap_guard_enabled = heap_guard_enabled;
+        self.input.clear();
+        self.input.extend_from_slice(input);
+        self.input_pos = 0;
+        self.render_output.clear();
+        self.debug_output.clear();
+        self.heap_guard_checks = 0;
     }
 
     /// The guest address-space layout.
@@ -137,9 +154,18 @@ impl Machine {
         &self.debug_output
     }
 
-    /// Consume the machine, yielding the words written to the render and debug ports.
-    pub fn into_outputs(self) -> (Vec<Word>, Vec<Word>) {
-        (self.render_output, self.debug_output)
+    /// Move out the words written to the render and debug ports; the machine keeps none.
+    pub fn take_outputs(&mut self) -> (Vec<Word>, Vec<Word>) {
+        (
+            std::mem::take(&mut self.render_output),
+            std::mem::take(&mut self.debug_output),
+        )
+    }
+
+    /// Hand the pages the run wrote back to the memory's spare list, so that what a
+    /// finished run holds on to until the next [`Machine::reset`] is bounded.
+    pub(crate) fn release_pages(&mut self) {
+        self.mem.release();
     }
 
     /// The guest memory, read-only (diagnostics and tests).
@@ -450,6 +476,54 @@ mod tests {
         assert_eq!(m.reg(Reg::Esp), m.layout().initial_sp());
         assert_eq!(m.eip, image().entry);
         assert_eq!(m.reg(Reg::Eax), 0);
+    }
+
+    /// Everything of a machine that a run or a hook can read.
+    fn observable(m: &Machine) -> impl PartialEq + std::fmt::Debug {
+        (
+            (m.regs, m.flags, m.eip, m.heap_guard_enabled()),
+            m.memory().read_slice(0, m.memory().len()).unwrap(),
+            (m.live_allocations(), m.heap.alloc_count, m.heap.free_count),
+            (m.input.clone(), m.input_remaining()),
+            (m.render_output().to_vec(), m.debug_output().to_vec()),
+            m.heap_guard_checks,
+        )
+    }
+
+    /// A machine that has been through a run is, once reset, the machine `new` builds —
+    /// under the other Heap Guard setting and on another input too — and goes on to
+    /// allocate where a new one does.
+    #[test]
+    fn reset_returns_a_used_machine_to_what_new_produces() {
+        let image = image();
+        let base: std::sync::Arc<[Word]> = {
+            let mem = Memory::load(&image);
+            mem.read_slice(0, mem.len()).unwrap().into()
+        };
+        for mut m in [
+            Machine::new(&image, vec![10, 20, 30], true),
+            Machine::with_cow(&image, base, vec![10, 20, 30], true),
+        ] {
+            let p = m.heap_alloc(4).unwrap();
+            m.heap_alloc(9).unwrap();
+            m.heap_free(p).unwrap();
+            m.write_mem(p, 77).unwrap();
+            m.write_mem(image.layout.data_base, 78).unwrap();
+            m.push(79).unwrap();
+            m.set_reg(Reg::Ebx, 80);
+            m.flags = Flags::from_cmp(1, 2);
+            m.eip += 1;
+            m.port_in(Port::Input);
+            m.port_out(Port::Render, 81);
+            m.port_out(Port::Debug, 82);
+            assert!(m.heap_guard_checks > 0);
+
+            m.reset(&image, &[5, 6], false);
+            let mut fresh = Machine::new(&image, vec![5, 6], false);
+            assert_eq!(observable(&m), observable(&fresh));
+            assert_eq!(m.heap_alloc(4), fresh.heap_alloc(4));
+            assert_eq!(m.heap_alloc(9), fresh.heap_alloc(9));
+        }
     }
 
     #[test]

@@ -6,6 +6,19 @@
 //! zero-filled). Creating a memory therefore costs the table alone, loading an image
 //! costs the pages its code and data occupy, and thousands of short-lived machines can
 //! share one loaded image behind an `Arc` — a run owns only the pages it touched.
+//!
+//! A memory outlives the run that dirtied it. It keeps the ids of the pages it
+//! materialised in `owned`, in the order they appeared, and [`Memory::release`] walks
+//! that list — never the table — to put every one of them back to absent: what the
+//! next run pays for is what the last one touched. The buffers of the pages given up
+//! go to a small free list, `spare`, that the next materialisations draw from. A
+//! reused buffer still holds the last run's words, so it is refilled **in full** from
+//! the base (or with zeros) before it becomes a page: a refill that skipped any word
+//! would hand one run's heap to the next. The list keeps at most [`MAX_SPARE_PAGES`]
+//! buffers and frees the rest, so one run that touched hundreds of pages does not pin
+//! them for the life of its environment; and it holds whole pages only — the short
+//! last page of a ragged layout is freed and allocated afresh, so that any spare fits
+//! any page it is asked to become.
 
 use crate::error::CrashKind;
 use cv_isa::{Addr, BinaryImage, MemoryLayout, Segment, Word};
@@ -16,12 +29,15 @@ const PAGE_SHIFT: usize = 9;
 /// Words per page.
 pub const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: usize = PAGE_WORDS - 1;
+/// Page buffers a memory keeps for reuse across [`Memory::release`] (32 KiB): three times
+/// what a benign browser page touches, an eighth of what the 325403 exploit's copy does.
+const MAX_SPARE_PAGES: usize = 16;
 
 /// The guest memory: a flat address space of 32-bit words, partitioned by [`MemoryLayout`].
 ///
 /// All accesses are bounds- and segment-checked; violations are reported as
 /// [`CrashKind`] values so the environment can turn them into guest crashes rather than
-/// host panics.
+/// host panics. Writes into the code segment always crash (W^X).
 #[derive(Debug, Clone)]
 pub struct Memory {
     layout: MemoryLayout,
@@ -30,8 +46,10 @@ pub struct Memory {
     /// Privately owned pages by page id, `None` until first written. The last page is
     /// short when the layout is not a multiple of [`PAGE_WORDS`].
     pages: Vec<Option<Box<[Word]>>>,
-    /// When true, writes into the code segment crash (the normal W^X configuration).
-    protect_code: bool,
+    /// Ids of the pages that are `Some`, in the order they were materialised.
+    owned: Vec<usize>,
+    /// Whole-page buffers given up by [`Memory::release`], contents stale.
+    spare: Vec<Box<[Word]>>,
 }
 
 impl Memory {
@@ -41,15 +59,15 @@ impl Memory {
             layout,
             base: None,
             pages: vec![None; layout.total_words().div_ceil(PAGE_WORDS)],
-            protect_code: true,
+            owned: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
     /// Create a memory with the image's code and data loaded at their segment bases.
     pub fn load(image: &BinaryImage) -> Memory {
         let mut mem = Memory::new(image.layout);
-        mem.copy_in(image.layout.code_base as usize, &image.code);
-        mem.copy_in(image.layout.data_base as usize, &image.data);
+        mem.reset(image);
         mem
     }
 
@@ -74,15 +92,42 @@ impl Memory {
         }
     }
 
+    /// Give up every owned page: each becomes absent again and its buffer goes to the
+    /// spare list or, beyond [`MAX_SPARE_PAGES`] and for a short last page, is freed.
+    /// Costs the pages owned, not the table.
+    pub(crate) fn release(&mut self) {
+        for pid in self.owned.drain(..) {
+            match self.pages[pid].take() {
+                Some(page) if page.len() == PAGE_WORDS && self.spare.len() < MAX_SPARE_PAGES => {
+                    self.spare.push(page)
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Put the memory back to what [`Memory::load`] (without a base) or [`Memory::cow`]
+    /// (over one, which already holds `image`) produced: no page the last user wrote
+    /// survives, and a memory that reads from no base has `image`'s code and data
+    /// copied back in.
+    pub(crate) fn reset(&mut self, image: &BinaryImage) {
+        self.release();
+        if self.base.is_none() {
+            self.copy_in(image.layout.code_base as usize, &image.code);
+            self.copy_in(image.layout.data_base as usize, &image.data);
+        }
+    }
+
     /// The layout this memory was created with.
     pub fn layout(&self) -> MemoryLayout {
         self.layout
     }
 
     /// Total words privately owned by this memory — the resident cost of the pages it
-    /// has materialised, beyond any shared base.
+    /// has materialised, beyond any shared base and any spare buffers.
     pub fn owned_words(&self) -> usize {
-        self.pages.iter().flatten().map(|p| p.len()).sum()
+        let owned = self.owned.iter().flat_map(|&pid| &self.pages[pid]);
+        owned.map(|page| page.len()).sum()
     }
 
     #[inline]
@@ -99,16 +144,36 @@ impl Memory {
     }
 
     /// The private copy of page `pid`, materialised from the base (or zeros) on first
-    /// use.
+    /// use — into a spare buffer when there is one, overwriting all of it.
     #[inline]
     fn page_mut(&mut self, pid: usize) -> &mut [Word] {
-        let (layout, base) = (&self.layout, &self.base);
-        self.pages[pid].get_or_insert_with(|| {
+        let Memory {
+            layout,
+            base,
+            pages,
+            owned,
+            spare,
+        } = self;
+        pages[pid].get_or_insert_with(|| {
+            owned.push(pid);
             let start = pid << PAGE_SHIFT;
             let end = (start + PAGE_WORDS).min(layout.total_words());
-            match base {
-                Some(base) => base[start..end].into(),
-                None => vec![0; end - start].into(),
+            let reused = if end - start == PAGE_WORDS {
+                spare.pop()
+            } else {
+                None
+            };
+            match (reused, base) {
+                (Some(mut page), Some(base)) => {
+                    page.copy_from_slice(&base[start..end]);
+                    page
+                }
+                (Some(mut page), None) => {
+                    page.fill(0);
+                    page
+                }
+                (None, Some(base)) => base[start..end].into(),
+                (None, None) => vec![0; end - start].into(),
             }
         })
     }
@@ -144,7 +209,7 @@ impl Memory {
     pub fn write(&mut self, addr: Addr, value: Word) -> Result<(), CrashKind> {
         match self.layout.segment_of(addr) {
             Segment::Unmapped => Err(CrashKind::UnmappedAccess { addr }),
-            Segment::Code if self.protect_code => Err(CrashKind::CodeWrite { addr }),
+            Segment::Code => Err(CrashKind::CodeWrite { addr }),
             _ => {
                 *self.word_mut(addr as usize) = value;
                 Ok(())
@@ -364,6 +429,75 @@ mod tests {
         }
     }
 
+    /// Releasing gives up every page — the table is all-absent again and `owned`
+    /// empty — keeps at most the cap of their buffers, and never the short last page.
+    #[test]
+    fn release_empties_the_table_and_bounds_the_spare_list() {
+        let layout = MemoryLayout::default();
+        let mut mem = Memory::new(layout);
+        for page in 0..MAX_SPARE_PAGES + 9 {
+            mem.write(layout.heap_base + (page * PAGE_WORDS) as Addr, 1)
+                .unwrap();
+        }
+        assert_eq!(mem.owned_words(), (MAX_SPARE_PAGES + 9) * PAGE_WORDS);
+        mem.release();
+        assert_eq!(mem.owned_words(), 0);
+        assert!(mem.owned.is_empty() && mem.pages.iter().all(Option::is_none));
+        assert_eq!(mem.spare.len(), MAX_SPARE_PAGES);
+
+        let ragged = ragged_layout();
+        let mut mem = Memory::new(ragged);
+        mem.write(ragged.stack_end() - 1, 1).unwrap();
+        mem.write(ragged.heap_base, 1).unwrap();
+        assert_eq!(
+            mem.owned_words(),
+            PAGE_WORDS + ragged.total_words() % PAGE_WORDS
+        );
+        mem.release();
+        assert_eq!(
+            mem.spare.len(),
+            1,
+            "the heap page, not the short stack page"
+        );
+        assert!(mem.spare.iter().all(|page| page.len() == PAGE_WORDS));
+    }
+
+    /// A page built in a reused buffer holds nothing of the page the buffer was: every
+    /// word is the base's (or zero), wherever the two pages differ or agree.
+    #[test]
+    fn a_reused_buffer_is_refilled_in_full() {
+        let image = filled_image(MemoryLayout::default(), 1300, 700);
+        let layout = image.layout;
+        let pristine = Memory::load(&image);
+        let base: Arc<[Word]> = pristine.read_slice(0, pristine.len()).unwrap().into();
+        for mut mem in [Memory::load(&image), Memory::cow(layout, base)] {
+            for i in 0..PAGE_WORDS as Addr {
+                mem.write(layout.heap_base + i, 0xAAAA_0000 | i).unwrap();
+            }
+            mem.reset(&image);
+            assert!(!mem.spare.is_empty());
+            // The dirty buffer comes back as the first page materialised: a code page
+            // whose tail is zeros when the image is loaded, the data page — part image,
+            // part zeros — over the base. Then a heap page and a stack page.
+            for addr in [
+                layout.data_base + 600,
+                layout.heap_base + 5000,
+                layout.stack_base,
+            ] {
+                mem.write(addr, 5).unwrap();
+            }
+            let mut want = pristine.read_slice(0, pristine.len()).unwrap();
+            for addr in [
+                layout.data_base + 600,
+                layout.heap_base + 5000,
+                layout.stack_base,
+            ] {
+                want[addr as usize] = 5;
+            }
+            assert_eq!(mem.read_slice(0, mem.len()).unwrap(), want);
+        }
+    }
+
     /// A raw index beyond the layout is a host bug and panics on every backing state —
     /// also inside the short last page, where the page table alone would not notice.
     #[test]
@@ -513,22 +647,38 @@ mod tests {
 
     type RawOp = (u8, u32, u32, u32);
 
-    /// Drive `ops` through a machine over `mem` and through the model, comparing every
-    /// answer and, at the end, every word.
-    fn run_differential(image: &BinaryImage, mem: Memory, heap_guard: bool, ops: &[RawOp]) {
+    /// `RawOp` kinds below this are `kind % 6`; this one starts the machine over.
+    const RECYCLE: u8 = 24;
+
+    /// Drive `ops` through `machine` — built for `image` — and through the model,
+    /// comparing every answer and, at the end, every word. [`RECYCLE`] resets the
+    /// machine in place, and the model to what a newly built one would be: the image's
+    /// words (or zeros) in a fresh `Vec`, no allocation live, and the heap handing out
+    /// its first word again.
+    fn run_differential(image: &BinaryImage, mut machine: Machine, ops: &[RawOp]) {
         let layout = image.layout;
         let total = layout.total_words();
+        let pristine = machine.memory().read_slice(0, total).unwrap();
+        let heap_guard = machine.heap_guard_enabled();
         let mut model = Model {
             layout,
-            words: mem.read_slice(0, total).unwrap(),
+            words: pristine.clone(),
             live: Default::default(),
             heap_guard,
         };
-        let mut machine = Machine::with_memory(image, mem, Vec::new(), heap_guard);
         let mut blocks: Vec<Addr> = Vec::new();
+        let mut heap_untouched = true;
         for &(kind, a, b, c) in ops {
             let addr = biased_addr(image, a);
-            match kind {
+            if kind == RECYCLE {
+                machine.reset(image, &[], heap_guard);
+                model.words.clone_from(&pristine);
+                model.live.clear();
+                heap_untouched = true;
+                assert_eq!(machine.live_allocations(), 0);
+                continue;
+            }
+            match kind % 6 {
                 0 => assert_eq!(machine.read_mem(addr), model.read(addr)),
                 1 => assert_eq!(machine.write_mem(addr, b), model.write(addr, b)),
                 2 => {
@@ -542,6 +692,9 @@ mod tests {
                     let size = b % 40;
                     match machine.heap_alloc(size) {
                         Ok(user_start) => {
+                            if std::mem::take(&mut heap_untouched) {
+                                assert_eq!(user_start, layout.heap_base + 1);
+                            }
                             model.allocated(user_start, size.max(1));
                             blocks.push(user_start);
                         }
@@ -549,8 +702,8 @@ mod tests {
                     }
                 }
                 4 => {
-                    // Mostly a block handed out earlier (possibly freed since), else
-                    // any address.
+                    // Mostly a block handed out earlier (possibly freed since, or lost
+                    // to a reset), else any address.
                     let ptr = match blocks.get(b as usize % (blocks.len() + 1)) {
                         Some(&block) => block,
                         None => addr,
@@ -569,27 +722,41 @@ mod tests {
         assert_eq!(machine.memory().read_slice(0, total).unwrap(), model.words);
     }
 
+    // Hand-made mutants of `release`, `reset` and `page_mut`, each of which fails the
+    // proptest below (and the unit test named, where one aims at it):
+    //  * a reused buffer refilled only in part, from the base or with zeros
+    //    (`a_reused_buffer_is_refilled_in_full`);
+    //  * the heap allocator not reset (`machine::tests::reset_returns_…`);
+    //  * the short last page pooled (`release_empties_the_table_…`);
+    //  * a memory without a base not getting its image back.
+    // `owned` not cleared is the one the flat model cannot see — the table is right,
+    // the list is not: `release_empties_the_table_…` and `tests/guest_memory.rs`'s
+    // page count do. Registers, flags, input cursor, Heap Guard flag and count left
+    // over: `machine::tests::reset_returns_a_used_machine_to_what_new_produces`.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random access sequences agree with the flat model on every backing state —
-        /// zero-filled, image-loaded, and over a shared base that must come out
-        /// untouched — on the default layout and on the ragged one.
+        /// Random access sequences, with the machine started over at random points,
+        /// agree with the flat model on every backing state — zero-filled, image-loaded,
+        /// and over a shared base that must come out untouched — on the default layout
+        /// and on the ragged one.
         #[test]
         fn paged_memory_matches_the_flat_model(
-            ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>(), any::<u32>()), 1..250),
+            ops in prop::collection::vec((0u8..=RECYCLE, any::<u32>(), any::<u32>(), any::<u32>()), 1..250),
             heap_guard in any::<bool>(),
         ) {
             for image in [
                 filled_image(MemoryLayout::default(), 1300, 700),
                 filled_image(ragged_layout(), 200, 400),
             ] {
-                run_differential(&image, Memory::new(image.layout), heap_guard, &ops);
+                let blank = filled_image(image.layout, 0, 0);
+                run_differential(&blank, Machine::new(&blank, Vec::new(), heap_guard), &ops);
+                run_differential(&image, Machine::new(&image, Vec::new(), heap_guard), &ops);
                 let loaded = Memory::load(&image);
                 let pristine = loaded.read_slice(0, loaded.len()).unwrap();
-                run_differential(&image, loaded, heap_guard, &ops);
                 let base: Arc<[Word]> = pristine.clone().into();
-                run_differential(&image, Memory::cow(image.layout, base.clone()), heap_guard, &ops);
+                let cow = Machine::with_cow(&image, base.clone(), Vec::new(), heap_guard);
+                run_differential(&image, cow, &ops);
                 prop_assert_eq!(&base[..], &pristine[..]);
             }
         }

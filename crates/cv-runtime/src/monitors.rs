@@ -194,6 +194,12 @@ impl ShadowStack {
         Self::default()
     }
 
+    /// Back to an empty stack with no operations counted, keeping the frames' capacity.
+    pub(crate) fn reset(&mut self) {
+        self.frames.clear();
+        self.ops = 0;
+    }
+
     /// Record a call.
     pub fn push(&mut self, frame: StackFrame) {
         self.frames.push(frame);
