@@ -331,11 +331,7 @@ impl ProtectedApplication {
         self.env.flush_cache();
         let result = self.env.run(input);
         let run_seconds = self.sim.run_seconds(&result.stats);
-        let status = match &result.status {
-            RunStatus::Completed => DigestStatus::Completed,
-            RunStatus::Failure(f) => DigestStatus::FailureAt(f.location),
-            RunStatus::Crash(_) => DigestStatus::Crashed,
-        };
+        let status = DigestStatus::from(&result.status);
 
         let previously_protected: Vec<Addr> = self
             .shard
@@ -353,7 +349,11 @@ impl ProtectedApplication {
             digests.push(RoutedDigest {
                 source: 0,
                 location: *loc,
-                digest: Self::build_digest(slot, &result, status),
+                digest: RunDigest::of_run(
+                    status,
+                    &result.observations,
+                    slot.checks.iter().map(|(inv, _, hook)| (inv, *hook)),
+                ),
             });
         }
         let failure_events = match &result.status {
@@ -440,22 +440,6 @@ impl ProtectedApplication {
             },
             _ => {}
         }
-    }
-
-    fn build_digest(slot: &PatchSlot, result: &RunResult, status: DigestStatus) -> RunDigest {
-        let mut digest = RunDigest::with_status(status);
-        for (inv, _, check_hook) in &slot.checks {
-            let seq: Vec<bool> = result
-                .observations
-                .iter()
-                .filter(|o| o.hook == *check_hook)
-                .map(|o| o.kind == ObservationKind::Satisfied)
-                .collect();
-            if !seq.is_empty() {
-                digest.observations.insert(inv.clone(), seq);
-            }
-        }
-        digest
     }
 
     /// Apply a manager patch plan to this application, with Table 3 time accounting.

@@ -15,7 +15,7 @@ use crate::repairgen::generate_repairs;
 use cv_inference::{Invariant, LearnedModel};
 use cv_isa::Addr;
 use cv_patch::{CheckPatch, RepairPatch};
-use cv_runtime::Failure;
+use cv_runtime::{Failure, HookId, Observation, ObservationKind, RunStatus};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -63,6 +63,16 @@ pub enum DigestStatus {
     Crashed,
 }
 
+impl From<&RunStatus> for DigestStatus {
+    fn from(status: &RunStatus) -> Self {
+        match status {
+            RunStatus::Completed => DigestStatus::Completed,
+            RunStatus::Failure(f) => DigestStatus::FailureAt(f.location),
+            RunStatus::Crash(_) => DigestStatus::Crashed,
+        }
+    }
+}
+
 /// A per-run digest delivered to the responder: the run status plus, for each checked
 /// invariant, the chronological sequence of satisfied (`true`) / violated (`false`)
 /// observations produced during the run.
@@ -81,6 +91,34 @@ impl RunDigest {
             status: Some(status),
             observations: HashMap::new(),
         }
+    }
+
+    /// The digest of one run for one failure location: `status`, plus for each of
+    /// `checks` — the invariants checked for that location, each with the id of its
+    /// check hook on the machine that ran — the sequence that hook observed. A check
+    /// that never executed has no entry.
+    ///
+    /// Inlined into its three callers, as the private copies it replaces were:
+    /// `present` builds one digest per slot per page, and out of line that call reads
+    /// as 4% of `host_browse`'s `pages_per_s` (EXPERIMENTS.md, PR 23).
+    #[inline]
+    pub fn of_run<'a>(
+        status: DigestStatus,
+        observations: &[Observation],
+        checks: impl IntoIterator<Item = (&'a Invariant, HookId)>,
+    ) -> Self {
+        let mut digest = RunDigest::with_status(status);
+        for (inv, check_hook) in checks {
+            let seq: Vec<bool> = observations
+                .iter()
+                .filter(|o| o.hook == check_hook)
+                .map(|o| o.kind == ObservationKind::Satisfied)
+                .collect();
+            if !seq.is_empty() {
+                digest.observations.insert(inv.clone(), seq);
+            }
+        }
+        digest
     }
 }
 

@@ -1,0 +1,108 @@
+//! A configuration is its units, in order, and nothing else. The mutant these kill —
+//! interning that ignores unit order — is listed with the others in
+//! `cv-patch/src/check.rs`.
+
+use super::*;
+use cv_inference::Variable;
+use cv_isa::{Operand, Port, ProgramBuilder, Reg};
+use cv_patch::RepairStrategy;
+
+/// `in ecx; mov ebx, ecx; out ebx; halt`, and the addresses of the `mov` and the `out`.
+fn program() -> (BinaryImage, Addr, Addr) {
+    let mut b = ProgramBuilder::new();
+    let main = b.function("main");
+    b.input(Reg::Ecx, Port::Input);
+    let mov = b.mov(Reg::Ebx, Reg::Ecx);
+    let out = b.output(Reg::Ebx, Port::Render);
+    b.halt();
+    b.set_entry(main);
+    (b.build().unwrap(), mov, out)
+}
+
+fn plan(ops: impl IntoIterator<Item = (Addr, Directive)>) -> PatchPlan {
+    let mut plan = PatchPlan::new();
+    for (location, directive) in ops {
+        plan.push(location, directive);
+    }
+    plan
+}
+
+/// A two-variable check — the kind whose hooks once carried a cell, and an identity.
+fn checks(mov: Addr, out: Addr) -> Directive {
+    Directive::InstallChecks(vec![CheckPatch::new(Invariant::LessThan {
+        a: Variable::read(mov, 0, Operand::Reg(Reg::Ecx)),
+        b: Variable::read(out, 0, Operand::Reg(Reg::Ebx)),
+    })])
+}
+
+fn repair(site: Addr, min: i32) -> Directive {
+    Directive::InstallRepair(RepairPatch {
+        invariant: Invariant::LowerBound {
+            var: Variable::read(site, 0, Operand::Reg(Reg::Ecx)),
+            min,
+        },
+        strategy: RepairStrategy::ClampToLowerBound,
+    })
+}
+
+#[test]
+fn reinstalling_a_removed_patch_is_the_configuration_it_was() {
+    let (_, mov, out) = program();
+    let mut table = ConfigTable::new();
+    let install = plan([(out, checks(mov, out))]);
+    let installed = table.successor(EMPTY_CONFIG, &install);
+    assert_ne!(installed, EMPTY_CONFIG);
+    let removed = table.successor(installed, &plan([(out, Directive::RemoveChecks)]));
+    assert_eq!(removed, EMPTY_CONFIG);
+    assert_eq!(table.successor(removed, &install), installed);
+    assert_eq!(table.configs.len(), 2);
+}
+
+#[test]
+fn installation_order_distinguishes_configurations() {
+    let (_, mov, _) = program();
+    let mut table = ConfigTable::new();
+    // Both clamp ecx at the `mov`, for two failure locations: hooks at one address run
+    // in installation order, so which clamp runs last is observable.
+    let (low, high) = ((1, repair(mov, 1)), (2, repair(mov, 9)));
+    let low_first = table.successor(EMPTY_CONFIG, &plan([low.clone(), high.clone()]));
+    let high_first = table.successor(EMPTY_CONFIG, &plan([high, low]));
+    assert_ne!(low_first, high_first);
+    assert_eq!(table.units(low_first).len(), 2);
+    assert_eq!(table.units(high_first).len(), 2);
+}
+
+#[test]
+fn a_bootstrapped_member_shares_the_configuration_of_those_pushed_to() {
+    let (image, mov, out) = program();
+    let mut engine = EventEngine::new(&image, MonitorConfig::full(), 3, 1, false);
+    let (first, second) = (
+        plan([(out, checks(mov, out))]),
+        plan([(mov, repair(mov, 1))]),
+    );
+    engine.apply_plan(&first);
+    engine.apply_plan(&second);
+    // Member 2 loses everything and is brought back by one bootstrap plan.
+    engine.crash(2);
+    engine.rejoin(2);
+    assert_eq!(engine.slots[2].config, EMPTY_CONFIG);
+    engine.reset_and_apply(2, &plan([(out, checks(mov, out)), (mov, repair(mov, 1))]));
+    assert_eq!(engine.slots[2].config, engine.slots[0].config);
+
+    let pages: Vec<Presentation> = (0..3).map(|node| Presentation::new(node, [0])).collect();
+    let records = engine.run_epoch(&pages, &[out]);
+    assert_eq!(
+        engine.scratch[0].len(),
+        1,
+        "one materialisation for all three"
+    );
+    for record in &records {
+        assert_eq!(record.rendered, [1], "the clamp ran");
+        assert_eq!(
+            record.digests[0].1.observations.len(),
+            1,
+            "so did the check"
+        );
+    }
+    assert_eq!(engine.resident_state_bytes(), 3 * 8);
+}

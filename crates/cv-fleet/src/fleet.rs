@@ -66,8 +66,8 @@ const MAX_BACKOFF_TICKS: u32 = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The event-driven engine: one shared read-only image and discovered-code
-    /// index per fleet, copy-on-write run state, and compact per-member slots
-    /// (a config handle + sparse aux cells) — tens of bytes per idle member.
+    /// index per fleet, copy-on-write run state, and an 8-byte slot per member
+    /// (a config handle and an alive flag).
     #[default]
     Event,
     /// The classic scheduler: one full execution environment per member. Kept
@@ -313,8 +313,8 @@ impl Engine {
         }
     }
 
-    /// Bytes of member-proportional state. The event engine measures its slots
-    /// and sparse aux cells; the classic scheduler's members each own a full
+    /// Bytes of member-proportional state. The event engine measures its
+    /// slots; the classic scheduler's members each own a full
     /// environment (a flat copy of the image plus machine bookkeeping), which
     /// is estimated from the image dimensions rather than walked.
     fn resident_state_bytes(&self, image: &BinaryImage) -> u64 {
@@ -1437,8 +1437,7 @@ impl Fleet {
     }
 
     /// Apply one membership/sync operation — the single entry point every
-    /// membership change and state sync routes through (the legacy per-op
-    /// methods are deprecated wrappers over this). Any state that moves is
+    /// membership change and state sync routes through. Any state that moves is
     /// served through a [`SyncSource`]: the manager tree's leaf tier when the
     /// tier plane is active, the root otherwise — one code path, one
     /// accounting story, for root-direct and tiered sync alike.
@@ -1603,54 +1602,6 @@ impl Fleet {
                 }
             }
         }
-    }
-
-    /// A brand-new member joins with **no** state transfer: it is alive but
-    /// unsynced (its digests are dropped, it holds no patches) until a resync
-    /// bootstraps it. This is the no-durability baseline the cold-vs-warm
-    /// experiments measure.
-    #[deprecated(note = "use `apply_membership(MembershipOp::JoinCold)`")]
-    pub fn join_member_cold(&mut self) -> NodeId {
-        self.apply_membership(MembershipOp::JoinCold).nodes[0]
-    }
-
-    /// A brand-new member warm-starts from the sync source's snapshot: it decodes
-    /// the current checkpoint, installs its net plan, and participates fully from
-    /// its first epoch.
-    #[deprecated(note = "use `apply_membership(MembershipOp::JoinWarm)`")]
-    pub fn join_member_warm(&mut self) -> NodeId {
-        self.apply_membership(MembershipOp::JoinWarm).nodes[0]
-    }
-
-    /// Take `node` down with total state loss (environment, patches — everything).
-    /// The member misses every push until it rejoins and re-syncs.
-    #[deprecated(note = "use `apply_membership(MembershipOp::Crash(&[node]))`")]
-    pub fn crash_member(&mut self, node: NodeId) {
-        self.apply_membership(MembershipOp::Crash(&[node]));
-    }
-
-    /// Take several members down with total state loss.
-    #[deprecated(note = "use `apply_membership(MembershipOp::Crash(nodes))`")]
-    pub fn crash_members(&mut self, nodes: &[NodeId]) {
-        self.apply_membership(MembershipOp::Crash(nodes));
-    }
-
-    /// Bring a crashed member back up. With `last_checkpoint`, the member is
-    /// advanced by a shard-keyed delta (it already holds the base state); without,
-    /// it re-downloads the full snapshot. Either way it rejoins fully synced.
-    #[deprecated(note = "use `apply_membership(MembershipOp::Rejoin { node, checkpoint })`")]
-    pub fn rejoin_member(&mut self, node: NodeId, last_checkpoint: Option<&Snapshot>) {
-        self.apply_membership(MembershipOp::Rejoin {
-            node,
-            checkpoint: last_checkpoint,
-        });
-    }
-
-    /// Bootstrap an alive but unsynced member (a cold joiner, typically) to the
-    /// current net configuration from the sync source's full snapshot.
-    #[deprecated(note = "use `apply_membership(MembershipOp::Resync(node))`")]
-    pub fn resync_member(&mut self, node: NodeId) {
-        self.apply_membership(MembershipOp::Resync(node));
     }
 
     /// Maintainer-facing reports for every failure the fleet has responded to, in

@@ -11,10 +11,10 @@
 //!   worker per shard, with a result identical to the sequential merge.
 //! * [`EventEngine`] (`engine.rs`) — the default member-execution engine:
 //!   execution batched into epochs and fanned out across worker threads over
-//!   **one shared read-only program image** per fleet; a member is a compact
-//!   slot (an interned patch-configuration handle plus sparse auxiliary cells),
-//!   and runs borrow copy-on-write state from a per-worker materialized-config
-//!   cache — tens of bytes per idle member instead of a full environment.
+//!   **one shared read-only program image** per fleet; a member is an 8-byte
+//!   slot (an interned patch-configuration handle and an alive flag), and runs
+//!   borrow copy-on-write state from a per-worker materialized-config cache —
+//!   eight bytes per member instead of a full environment.
 //! * [`EpochScheduler`] (`scheduler.rs`) — the classic engine: each member keeps
 //!   its own `ManagedExecutionEnvironment`. Byte-identical outputs to the event
 //!   engine (`tests/engine_parity.rs`); kept as the parity baseline.

@@ -114,7 +114,7 @@ pub enum MetricEvent {
     /// One epoch's member-state memory accounting (the event engine's
     /// copy-on-write plane; the classic scheduler reports an estimate).
     MemberResidency {
-        /// Bytes proportional to the member count (slots, sparse cell values).
+        /// Bytes proportional to the member count (the event engine's slots).
         resident_bytes: u64,
         /// Bytes shared across all members (shared program, config table,
         /// per-worker materialized environments), amortized per member.

@@ -19,8 +19,7 @@ use cv_inference::{Invariant, LearnedModel, LearningFrontend};
 use cv_isa::{Addr, BinaryImage, Word};
 use cv_patch::{install_hooks, uninstall, PatchHandle};
 use cv_runtime::{
-    EnvConfig, Failure, HookId, ManagedExecutionEnvironment, MonitorConfig, ObservationKind,
-    RunResult, RunStatus,
+    EnvConfig, Failure, HookId, ManagedExecutionEnvironment, MonitorConfig, RunStatus,
 };
 use std::collections::BTreeMap;
 
@@ -321,14 +320,18 @@ fn run_worker(
             );
             member.env.flush_cache();
             let result = member.env.run(&presentation.page);
-            let status = match &result.status {
-                RunStatus::Completed => DigestStatus::Completed,
-                RunStatus::Failure(f) => DigestStatus::FailureAt(f.location),
-                RunStatus::Crash(_) => DigestStatus::Crashed,
-            };
+            let status = DigestStatus::from(&result.status);
             let digests = active
                 .iter()
-                .map(|loc| (*loc, build_digest(member, *loc, &result, status)))
+                .map(|loc| {
+                    let checks = member.patches.get(loc).into_iter();
+                    let checks = checks.flat_map(|state| &state.checks);
+                    let checks = checks.map(|(inv, _, hook)| (inv, *hook));
+                    (
+                        *loc,
+                        RunDigest::of_run(status, &result.observations, checks),
+                    )
+                })
                 .collect();
             RunRecord {
                 seq: *seq,
@@ -340,31 +343,6 @@ fn run_worker(
             }
         })
         .collect()
-}
-
-/// Build the per-run digest for one failure location from the member's installed
-/// checking patches (mirrors the seed community's digest construction).
-fn build_digest(
-    member: &MemberState,
-    loc: Addr,
-    result: &RunResult,
-    status: DigestStatus,
-) -> RunDigest {
-    let mut digest = RunDigest::with_status(status);
-    if let Some(state) = member.patches.get(&loc) {
-        for (inv, _, check_hook) in &state.checks {
-            let seq: Vec<bool> = result
-                .observations
-                .iter()
-                .filter(|o| o.hook == *check_hook)
-                .map(|o| o.kind == ObservationKind::Satisfied)
-                .collect();
-            if !seq.is_empty() {
-                digest.observations.insert(inv.clone(), seq);
-            }
-        }
-    }
-    digest
 }
 
 /// Apply every operation of a patch plan to every up member of one worker. Down

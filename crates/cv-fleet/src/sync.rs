@@ -1,10 +1,8 @@
 //! The unified sync plane: one API for every way state reaches a member, and
 //! the per-tier coordinator state that serves it.
 //!
-//! Before this module, the fleet had five ad-hoc membership/sync entry points
-//! (`crash_members`, `rejoin_member`, `join_member_warm`, `join_member_cold`,
-//! `resync_member`) plus the transport-resync pass's private path — six code
-//! paths, one accounting story each. They are now thin wrappers over
+//! Every membership change — crash, rejoin, warm and cold join, resync, and the
+//! transport-resync pass — is one call to
 //! [`Fleet::apply_membership`](crate::Fleet::apply_membership) taking a
 //! [`MembershipOp`], and every sync inside it is served through a
 //! [`SyncSource`] — a trait implemented by both the root

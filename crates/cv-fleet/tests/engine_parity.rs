@@ -1,12 +1,12 @@
 //! Engine parity: the event-driven engine (shared image, interned patch
-//! configurations, copy-on-write run state, sparse aux cells) must be
+//! configurations, copy-on-write run state, an 8-byte slot per member) must be
 //! **observationally identical** to the classic per-member-environment
 //! scheduler. Not "equivalent protocol outcomes" — byte-identical [`BatchLog`]s
 //! and equal final invariant databases, on randomized histories mixing benign
 //! traffic, repeated exploit presentations (monitor failures, check
 //! installation, repair evaluation), members presented several times within one
-//! epoch (the in-epoch aux-cell overlay), mid-epoch crash churn, rejoins
-//! through snapshot bootstrap, and warm/cold joins.
+//! epoch (one materialized environment serving run after run), mid-epoch crash
+//! churn, rejoins through snapshot bootstrap, and warm/cold joins.
 //!
 //! The deterministic 1,000-member case at the bottom is the scale claim: the
 //! compact-member-state engine retraces the classic engine's history exactly
@@ -228,11 +228,11 @@ fn engines_agree_at_a_thousand_members() {
         "event engine resident state ({event_bytes} B) should be <1% of the \
          classic engine's ({classic_bytes} B)"
     );
-    // The marginal cost of one more member must stay within tens of bytes (a
-    // slot plus sparse aux cells). The ≤1 KiB *total* per-member budget —
-    // which includes the fleet-wide shared state amortized over the members —
-    // is gated at 10k+ members in the benches, where amortization is real; at
-    // 1k members the one-off shared image dominates any per-member figure.
+    // The marginal cost of one more member is its slot. The ≤1 KiB *total*
+    // per-member budget — which includes the fleet-wide shared state amortized
+    // over the members — is gated at 10k+ members in the benches, where
+    // amortization is real; at 1k members the one-off shared image dominates
+    // any per-member figure.
     let marginal = event_bytes as f64 / event.node_count() as f64;
     assert!(
         marginal <= 256.0,

@@ -404,11 +404,11 @@ fn stale_base_relay_is_rejected() {
     assert_eq!(row_delta.encode(), root_delta.encode());
 }
 
-/// The five legacy membership methods survive as deprecated wrappers over
-/// `apply_membership` — same observable behavior, one routing underneath.
+/// One history through every membership operation — crashes one at a time and
+/// several at once, a delta rejoin and two full ones, a warm join, a cold join and
+/// its resync — each counted once in the metrics.
 #[test]
-#[allow(deprecated)]
-fn legacy_membership_wrappers_route_through_apply_membership() {
+fn every_membership_op_is_counted_once() {
     let browser = Browser::build();
     let mut fleet = Fleet::new(
         browser.image.clone(),
@@ -420,21 +420,21 @@ fn legacy_membership_wrappers_route_through_apply_membership() {
     let benign = evaluation_suite();
     fleet.run_epoch(&[Presentation::new(0, benign[0].clone())]);
 
-    fleet.crash_member(3);
-    fleet.crash_members(&[4, 5]);
+    fleet.apply_membership(MembershipOp::Crash(&[3]));
+    fleet.apply_membership(MembershipOp::Crash(&[4, 5]));
     assert_eq!(fleet.alive_count(), 5);
 
-    fleet.rejoin_member(3, Some(&base));
-    fleet.rejoin_member(4, None);
-    fleet.rejoin_member(5, None);
+    for (node, checkpoint) in [(3, Some(&base)), (4, None), (5, None)] {
+        fleet.apply_membership(MembershipOp::Rejoin { node, checkpoint });
+    }
     assert_eq!(fleet.alive_count(), 8);
     assert!(fleet.is_member_synced(3));
 
-    let warm = fleet.join_member_warm();
+    let warm = fleet.apply_membership(MembershipOp::JoinWarm).nodes[0];
     assert!(fleet.is_member_synced(warm));
-    let cold = fleet.join_member_cold();
+    let cold = fleet.apply_membership(MembershipOp::JoinCold).nodes[0];
     assert!(!fleet.is_member_synced(cold));
-    fleet.resync_member(cold);
+    fleet.apply_membership(MembershipOp::Resync(cold));
     assert!(fleet.is_member_synced(cold));
 
     let m = fleet.metrics();

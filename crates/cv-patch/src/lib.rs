@@ -26,7 +26,7 @@ mod cost;
 mod handle;
 mod repair;
 
-pub use check::{AuxStoreHook, CheckHook, CheckPatch};
+pub use check::CheckPatch;
 pub use cost::{InvariantCounts, PatchCostModel};
 pub use handle::{install_hooks, uninstall, PatchHandle};
-pub use repair::{RepairHook, RepairPatch, RepairStrategy};
+pub use repair::{RepairPatch, RepairStrategy};

@@ -12,14 +12,12 @@
 //! * **less-than** `v1 ≤ v2` — `if !(v1 <= v2)` then set the variable read at the check
 //!   instruction so that the relation holds (the paper's `v1 = v2` form).
 
-use crate::check::read_variable;
+use crate::check::{observe_invariant, value_of, with_aux_store};
 use cv_inference::{Invariant, Variable};
 use cv_isa::{Addr, Word};
-use cv_runtime::{Hook, HookAction, HookContext, ObservationKind};
-use parking_lot::Mutex;
+use cv_runtime::{Hook, HookAction, HookContext};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// How a repair patch enforces its invariant when the invariant is violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -163,52 +161,16 @@ impl RepairPatch {
         format!("enforce [{}] via {}", self.invariant, self.strategy)
     }
 
-    /// Compile the repair into hooks to apply to the managed environment.
+    /// Compile the repair into hooks to apply to the managed environment: the
+    /// enforcing hook at the check instruction, after the auxiliary store of a
+    /// two-variable invariant (see [`CheckPatch::build_hooks`](crate::CheckPatch)).
     pub fn build_hooks(&self) -> Vec<(Addr, Box<dyn Hook>)> {
-        self.build_hooks_cells().0
-    }
-
-    /// Like [`RepairPatch::build_hooks`], additionally returning the auxiliary-store
-    /// cell shared by the hook pair of a two-variable invariant (`None` otherwise), so
-    /// a scheduler can persist the cell per member across rebuilt hook sets.
-    #[allow(clippy::type_complexity)]
-    pub fn build_hooks_cells(
-        &self,
-    ) -> (Vec<(Addr, Box<dyn Hook>)>, Option<Arc<Mutex<Option<Word>>>>) {
-        let check_addr = self.check_addr();
-        match &self.invariant {
-            Invariant::LessThan { a, b } if a.addr != b.addr => {
-                let (earlier, _later) = if a.addr < b.addr { (a, b) } else { (b, a) };
-                let cell = Arc::new(Mutex::new(None));
-                let hooks = vec![
-                    (
-                        earlier.addr,
-                        Box::new(crate::check::AuxStoreHook::new(*earlier, Arc::clone(&cell)))
-                            as Box<dyn Hook>,
-                    ),
-                    (
-                        check_addr,
-                        Box::new(RepairHook {
-                            patch: self.clone(),
-                            earlier: Some((*earlier, Arc::clone(&cell))),
-                            triggered: Arc::new(Mutex::new(0)),
-                        }) as Box<dyn Hook>,
-                    ),
-                ];
-                (hooks, Some(cell))
-            }
-            _ => (
-                vec![(
-                    check_addr,
-                    Box::new(RepairHook {
-                        patch: self.clone(),
-                        earlier: None,
-                        triggered: Arc::new(Mutex::new(0)),
-                    }) as Box<dyn Hook>,
-                )],
-                None,
-            ),
-        }
+        with_aux_store(&self.invariant, |earlier| {
+            Box::new(RepairHook {
+                patch: self.clone(),
+                earlier,
+            })
+        })
     }
 }
 
@@ -218,40 +180,19 @@ impl fmt::Display for RepairPatch {
     }
 }
 
-/// The hook that implements a repair patch at run time.
-pub struct RepairHook {
+/// The hook that implements a repair patch at run time. Every enforcement is one
+/// `Violated` observation of this hook.
+struct RepairHook {
     patch: RepairPatch,
-    earlier: Option<(Variable, Arc<Mutex<Option<Word>>>)>,
-    /// Number of times the repair actually enforced its invariant.
-    pub triggered: Arc<Mutex<u64>>,
-}
-
-impl RepairHook {
-    fn value_of(&self, ctx: &HookContext<'_>, var: &Variable) -> Option<Word> {
-        if let Some((earlier_var, cell)) = &self.earlier {
-            if earlier_var == var {
-                return *cell.lock();
-            }
-        }
-        read_variable(ctx, var)
-    }
+    /// For two-variable invariants: the variable read at the earlier instruction.
+    earlier: Option<Variable>,
 }
 
 impl Hook for RepairHook {
     fn on_execute(&mut self, ctx: &mut HookContext<'_>) -> HookAction {
-        let holds = {
-            let lookup = |var: &Variable| self.value_of(ctx, var);
-            self.patch.invariant.holds(&lookup)
-        };
-        ctx.observe(if holds {
-            ObservationKind::Satisfied
-        } else {
-            ObservationKind::Violated
-        });
-        if holds {
+        if observe_invariant(ctx, &self.patch.invariant, self.earlier.as_ref()) {
             return HookAction::Continue;
         }
-        *self.triggered.lock() += 1;
         match self.patch.strategy {
             RepairStrategy::SetValue { value } => {
                 if let Some(var) = self.patch.invariant.variables().first() {
@@ -282,8 +223,10 @@ impl Hook for RepairHook {
                     } else {
                         (a, b)
                     };
-                    if let (Some(op), Some(value)) = (to_write.operand, self.value_of(ctx, &other))
-                    {
+                    if let (Some(op), Some(value)) = (
+                        to_write.operand,
+                        value_of(ctx, self.earlier.as_ref(), &other),
+                    ) {
                         let _ = ctx.machine.write_operand(&op, value);
                     }
                 }

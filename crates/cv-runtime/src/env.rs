@@ -281,6 +281,9 @@ impl ManagedExecutionEnvironment {
         let mut guest = self.take_guest(input);
         let Guest { machine, shadow } = &mut guest;
         let mut observations: Vec<Observation> = Vec::new();
+        // What auxiliary-store hooks hand to the checks after them: the run's, like its
+        // observations, so no value survives into the next run.
+        let mut aux: Vec<(u64, Word)> = Vec::new();
         let mut stats = ExecutionStats {
             runs: 1,
             ..Default::default()
@@ -353,7 +356,8 @@ impl ManagedExecutionEnvironment {
             if let Some(entries) = self.hooks.at_mut(eip) {
                 for (id, hook) in entries {
                     stats.hook_invocations += 1;
-                    let mut ctx = HookContext::new(machine, iwa.inst, eip, *id, &mut observations);
+                    let mut ctx =
+                        HookContext::new(machine, iwa.inst, eip, *id, &mut observations, &mut aux);
                     let a = hook.on_execute(&mut ctx);
                     if !matches!(a, HookAction::Continue) {
                         action = a;

@@ -25,9 +25,20 @@
 //! code segment (a heap address that injected code reaches when the Memory Firewall is
 //! off) have no table entry: they are found by comparing addresses along the short
 //! list of sites, which the run loop only does when `eip` is outside the table.
+//!
+//! # What a hook can remember
+//!
+//! Nothing beyond the run it executes in. A patch made of two hooks — the auxiliary
+//! store at the earlier instruction of a two-variable invariant and the check at the
+//! later one (Section 2.4.2) — passes its value through the run:
+//! [`HookContext::store_aux`] files a word under a key the two hooks agree on and
+//! [`HookContext::aux`] reads it back. The values belong to the run the way its
+//! observations do: every run starts with none, so what one page stored can never
+//! decide a check on the next, and an environment's hooks are the same before and
+//! after any run.
 
 use crate::machine::Machine;
-use cv_isa::{Addr, Inst};
+use cv_isa::{Addr, Inst, Word};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -82,6 +93,7 @@ pub struct HookContext<'a> {
     /// The id of the hook currently running.
     pub hook_id: HookId,
     observations: &'a mut Vec<Observation>,
+    aux: &'a mut Vec<(u64, Word)>,
 }
 
 impl<'a> HookContext<'a> {
@@ -91,6 +103,7 @@ impl<'a> HookContext<'a> {
         addr: Addr,
         hook_id: HookId,
         observations: &'a mut Vec<Observation>,
+        aux: &'a mut Vec<(u64, Word)>,
     ) -> Self {
         HookContext {
             machine,
@@ -98,6 +111,7 @@ impl<'a> HookContext<'a> {
             addr,
             hook_id,
             observations,
+            aux,
         }
     }
 
@@ -108,6 +122,20 @@ impl<'a> HookContext<'a> {
             addr: self.addr,
             kind,
         });
+    }
+
+    /// File `value` under `key` for a hook that runs later in this run, replacing what
+    /// was there; `None` empties the slot, so a reader never sees an older value.
+    pub fn store_aux(&mut self, key: u64, value: Option<Word>) {
+        self.aux.retain(|(k, _)| *k != key);
+        if let Some(word) = value {
+            self.aux.push((key, word));
+        }
+    }
+
+    /// The value filed under `key` earlier in this run, if there is one.
+    pub fn aux(&self, key: u64) -> Option<Word> {
+        self.aux.iter().find(|(k, _)| *k == key).map(|(_, w)| *w)
     }
 }
 

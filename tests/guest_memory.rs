@@ -8,14 +8,18 @@
 //! cache, a classic one flushed before every page (whose rebuilt blocks must be counted
 //! like first builds) and a shared-program one — under full monitoring and under none,
 //! the one configuration that executes injected code out of heap pages, and through
-//! the orders of events that a pool of reused pages could get wrong.
+//! the orders of events that a pool of reused pages could get wrong. Hook state is
+//! state too: the last test is a patch whose auxiliary value must not outlive its run.
 
 use clearview::apps::{evaluation_suite, learning_suite, red_team_exploits, Browser};
-use clearview::isa::{decode_all, Inst};
+use clearview::inference::{Invariant, Variable};
+use clearview::isa::{decode_all, Cond, Inst, Operand, Port, ProgramBuilder, Reg};
 use clearview::isa::{BinaryImage, Word};
+use clearview::patch::{install_hooks, CheckPatch, RepairPatch, RepairStrategy};
 use clearview::runtime::{
     EnvConfig, ExecutionStats, Hook, HookAction, HookContext, ManagedExecutionEnvironment, Memory,
-    MonitorConfig, RecordingTracer, RunResult, RunStatus, SharedProgram, PAGE_WORDS,
+    MonitorConfig, ObservationKind, RecordingTracer, RunResult, RunStatus, SharedProgram,
+    PAGE_WORDS,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -315,4 +319,75 @@ fn reused_pages_never_show_a_run_what_the_last_one_wrote() {
     );
     assert_eq!(failures, 11, "ten exploits monitored, and 325403 once more");
     assert!(crashes >= 5 && ran_injected_code >= 1);
+}
+
+/// A two-variable patch stores its earlier variable for the check *later in the same
+/// run* (Section 2.4.2). This guest can reach the check without passing the earlier
+/// instruction:
+///
+/// ```text
+///          in ecx ; in edx ; in eax
+///          cmp ecx, 0 ; je skip
+/// earlier: mov ebx, edx
+/// skip:
+/// later:   out eax
+/// ```
+///
+/// so after a page that stored 100, a page that jumps around the store and renders 50
+/// must find `edx@earlier <= eax@later` as a fresh environment does — satisfied, the
+/// earlier value being unavailable — and neither report a violation nor, under the
+/// enforcing repair, render the last page's 100 in place of its own 50.
+#[test]
+fn an_auxiliary_value_never_decides_the_next_page() {
+    let mut b = ProgramBuilder::new();
+    let main = b.function("main");
+    b.input(Reg::Ecx, Port::Input);
+    b.input(Reg::Edx, Port::Input);
+    b.input(Reg::Eax, Port::Input);
+    b.cmp(Reg::Ecx, 0u32);
+    let skip = b.new_label("skip");
+    b.jcc(Cond::Eq, skip);
+    let earlier = b.mov(Reg::Ebx, Reg::Edx);
+    b.bind(skip);
+    let later = b.output(Reg::Eax, Port::Render);
+    b.halt();
+    b.set_entry(main);
+    let image = b.build().unwrap();
+
+    let invariant = Invariant::LessThan {
+        a: Variable::read(earlier, 0, Operand::Reg(Reg::Edx)),
+        b: Variable::read(later, 0, Operand::Reg(Reg::Eax)),
+    };
+    let check = CheckPatch::new(invariant.clone());
+    let repair = RepairPatch {
+        invariant,
+        strategy: RepairStrategy::EnforceLessThan,
+    };
+    for enforcing in [false, true] {
+        let mut shapes = Shapes::new(&image, |env| {
+            let hooks = if enforcing {
+                repair.build_hooks()
+            } else {
+                check.build_hooks()
+            };
+            assert_eq!(install_hooks(env, hooks).len(), 2, "aux store + check");
+        });
+        let mut load = |page: &[Word]| {
+            let result = shapes.agree_on(&Step {
+                monitors: MonitorConfig::full(),
+                traced: false,
+                page,
+            });
+            assert!(result.is_completed());
+            let kinds: Vec<_> = result.observations.iter().map(|o| o.kind).collect();
+            (kinds, result.rendered)
+        };
+        use ObservationKind::{Satisfied, Violated};
+        assert_eq!(load(&[1, 100, 200]), (vec![Satisfied], vec![200]));
+        assert_eq!(load(&[0, 0, 50]), (vec![Satisfied], vec![50]));
+        // Within one run the stored value does decide, so the page above was a test.
+        let enforced = if enforcing { 100 } else { 50 };
+        assert_eq!(load(&[1, 100, 50]), (vec![Violated], vec![enforced]));
+        assert_eq!(load(&[0, 0, 50]), (vec![Satisfied], vec![50]));
+    }
 }
