@@ -1,6 +1,6 @@
 //! # cv-bench — experiment harnesses
 //!
-//! Shared driver code for the binaries and Criterion benches that regenerate every
+//! Shared driver code for the binaries that regenerate every
 //! table and figure of the paper's evaluation (Section 4). Each binary prints the
 //! paper's rows next to the values measured on this reproduction; `EXPERIMENTS.md`
 //! records a captured run.

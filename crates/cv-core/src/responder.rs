@@ -76,7 +76,7 @@ impl From<&RunStatus> for DigestStatus {
 /// A per-run digest delivered to the responder: the run status plus, for each checked
 /// invariant, the chronological sequence of satisfied (`true`) / violated (`false`)
 /// observations produced during the run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunDigest {
     /// How the run ended.
     pub status: Option<DigestStatus>,

@@ -1,15 +1,22 @@
-//! The event-driven epoch engine.
+//! The member-execution engine.
 //!
-//! The classic [`EpochScheduler`](crate::EpochScheduler) gives every member its own
-//! `ManagedExecutionEnvironment` — a private image copy, code cache, and hook
-//! registry — which puts a hard memory ceiling of a few thousand members on the
-//! fleet. This engine inverts the representation: the *program* is shared once per
-//! fleet ([`SharedProgram`]: one image, one pre-decoded instruction index, one
-//! pristine address space backing copy-on-write machines), and a member is a
-//! [`MemberSlot`] — the id of its *patch configuration* plus an alive flag, 8 bytes —
-//! full stop. A patch keeps nothing between runs (the auxiliary value of a
-//! two-variable check lives in the run, see `cv_runtime::HookContext::store_aux`), so
-//! there is no per-member hook state to carry, load or save.
+//! Community execution proceeds in *epochs*: a batch of page presentations is fanned
+//! out across worker threads, every run's failure report and invariant-check
+//! observations are collected into [`RunRecord`]s, and the central manager processes
+//! the batch between epochs. Patch operations produced by the manager are applied to
+//! every up member at the epoch boundary — the fleet equivalent of the paper's
+//! console pushing patches to all Node Managers (Section 3.2). Within an epoch
+//! members execute with a *fixed* patch configuration; this is what makes the
+//! fan-out embarrassingly parallel. The consistency consequences for the responder
+//! protocol are handled by the fleet (see `Fleet::run_epoch`).
+//!
+//! The *program* is shared once per fleet ([`SharedProgram`]: one image, one
+//! pre-decoded instruction index, one pristine address space backing copy-on-write
+//! machines), and a member is a [`MemberSlot`] — the id of its *patch configuration*
+//! plus an alive flag, 8 bytes — full stop. A patch keeps nothing between runs (the
+//! auxiliary value of a two-variable check lives in the run, see
+//! `cv_runtime::HookContext::store_aux`), so there is no per-member hook state to
+//! carry, load or save.
 //!
 //! Patch configurations are interned in a [`ConfigTable`]: a config is the ordered
 //! list of patch *units* (one check or repair patch each) installed on a member, and
@@ -19,23 +26,25 @@
 //! Workers materialize an environment per *config* (not per member) on demand, so ten
 //! thousand homogeneous members share one environment per worker.
 //!
-//! Observational parity with the classic scheduler is exact on every history the
-//! responder protocol can produce, and is locked down by the `engine_parity`
-//! proptest: byte-identical `RunRecord` streams (statuses, renders, digests) and
-//! identical learning uploads. The one deliberate divergence: re-installing checks
-//! or a repair over an existing installation *replaces* the old hooks here, where
-//! the classic scheduler leaks them in the environment — a configuration the
-//! responder protocol never produces (installs are always preceded by the matching
-//! remove).
+//! What all of that must be indistinguishable from is a community in which every
+//! member owns a long-lived environment of its own. That reference is
+//! `scheduler.rs`; it exists in this crate's test build only, where every engine
+//! carries one and checks itself against it call by call (`engine/parity.rs`) — on
+//! every plan sequence, not only those the responder protocol emits.
 
 use crate::protocol::{NodeId, Presentation};
-use crate::scheduler::RunRecord;
 use cv_core::{DigestStatus, Directive, PatchPlan, RunDigest};
 use cv_inference::{Invariant, LearnedModel, LearningFrontend};
 use cv_isa::{Addr, BinaryImage, Word};
 use cv_patch::{install_hooks, CheckPatch, RepairPatch};
-use cv_runtime::{EnvConfig, HookId, ManagedExecutionEnvironment, MonitorConfig, SharedProgram};
+use cv_runtime::{
+    EnvConfig, Failure, HookId, ManagedExecutionEnvironment, MonitorConfig, RunStatus,
+    SharedProgram,
+};
 use std::collections::{HashMap, HashSet};
+
+#[cfg(test)]
+use crate::scheduler::EpochScheduler;
 
 /// Identifier of an interned patch configuration (index into the config table).
 type ConfigId = u32;
@@ -46,6 +55,23 @@ const EMPTY_CONFIG: ConfigId = 0;
 /// Epoch batches smaller than this run on the calling thread even when a worker
 /// pool is configured: thread spawn and join overhead dwarfs the work itself.
 const SMALL_EPOCH_INLINE: usize = 16;
+
+/// The outcome of one page presentation, as collected by a worker.
+pub(crate) struct RunRecord {
+    /// Position of the presentation in the epoch's batch (global order).
+    pub seq: usize,
+    /// The member that loaded the page.
+    pub node: NodeId,
+    /// How the run ended.
+    pub status: RunStatus,
+    /// What the member rendered.
+    pub rendered: Vec<Word>,
+    /// Per-active-failure-location digests (status plus check observations), built
+    /// against the patch configuration the run actually executed under.
+    pub digests: Vec<(Addr, RunDigest)>,
+    /// The failure a monitor reported, if any.
+    pub failure: Option<Failure>,
+}
 
 /// One community member: this slot is its whole per-member cost.
 #[derive(Clone, Copy)]
@@ -69,9 +95,9 @@ enum UnitKind {
 }
 
 /// An interned patch configuration: units in installation order. Installation
-/// order is what the classic scheduler's hook registry preserves, and it is
-/// observable (hooks at one address run in installation order, and a repair
-/// hook's action can shadow later hooks), so it is part of config identity.
+/// order is what a member's hook registry preserves, and it is observable (hooks
+/// at one address run in installation order, and a repair hook's action can
+/// shadow later hooks), so it is part of config identity.
 #[derive(Default, Clone, PartialEq)]
 struct Config {
     units: Vec<Unit>,
@@ -94,9 +120,9 @@ impl ConfigTable {
     }
 
     /// The configuration a member on `from` holds after `plan` is pushed to it —
-    /// the one interning path: the plan's operations applied to `from`'s units
-    /// (mirroring `apply_plan_to_members` of the classic scheduler), then the
-    /// config with exactly those units in that order, existing or new. A push that
+    /// the one interning path: the plan's operations applied to `from`'s units (an
+    /// install over an existing installation replaces it), then the config with
+    /// exactly those units in that order, existing or new. A push that
     /// only removes can fold back onto an ancestor, a no-op push returns `from`,
     /// and a member bootstrapped from [`EMPTY_CONFIG`] lands on the config of the
     /// members that reached the same patches push by push.
@@ -137,8 +163,7 @@ impl ConfigTable {
 
 /// A worker's materialization of one config: a shared-program environment with the
 /// config's hooks installed and the per-location digest index (invariant and
-/// check-hook id, in install order — mirroring the classic scheduler's
-/// `NodePatchState::checks`).
+/// check-hook id, in install order).
 struct MaterializedConfig {
     env: ManagedExecutionEnvironment,
     checks_by_loc: HashMap<Addr, Vec<(Invariant, HookId)>>,
@@ -179,15 +204,14 @@ fn materialize(
     MaterializedConfig { env, checks_by_loc }
 }
 
-/// The event-driven epoch engine. Drop-in replacement for the classic
-/// [`EpochScheduler`](crate::EpochScheduler) behind [`Fleet`](crate::Fleet).
+/// The member-execution engine behind [`Fleet`](crate::Fleet).
 pub struct EventEngine {
     program: SharedProgram,
     monitors: MonitorConfig,
-    parallel: bool,
     worker_count: usize,
-    /// Hardware parallelism; with one core the worker pool can only lose, so
-    /// epochs run inline regardless of the configured worker count.
+    /// Hardware parallelism (1 where the machine will not say); with one core the
+    /// worker pool can only lose, so epochs run inline regardless of the configured
+    /// worker count.
     cores: usize,
     node_count: usize,
     alive_count: usize,
@@ -196,29 +220,26 @@ pub struct EventEngine {
     /// Per-worker materialized configs, kept warm across epochs and pruned when a
     /// plan push retires a config.
     scratch: Vec<HashMap<ConfigId, MaterializedConfig>>,
+    /// The per-member-environment reference this engine is held to, call by call.
+    #[cfg(test)]
+    reference: EpochScheduler,
 }
 
 impl EventEngine {
-    /// An engine for `node_count` members running `image`. The worker-count
-    /// resolution matches the classic scheduler so `worker_count()` is identical
-    /// for identical fleet configurations.
+    /// An engine for `node_count` members running `image`, partitioned over
+    /// `worker_count` workers (0 = one per available core).
     pub(crate) fn new(
         image: &BinaryImage,
         monitors: MonitorConfig,
         node_count: usize,
         worker_count: usize,
-        parallel: bool,
     ) -> Self {
         let node_count = node_count.max(1);
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let worker_count = if !parallel {
-            1
-        } else if worker_count == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
+        let worker_count = if worker_count == 0 {
+            cores
         } else {
             worker_count
         }
@@ -226,7 +247,6 @@ impl EventEngine {
         EventEngine {
             program: SharedProgram::new(image.clone()),
             monitors,
-            parallel,
             worker_count,
             cores,
             node_count,
@@ -240,6 +260,8 @@ impl EventEngine {
             ],
             table: ConfigTable::new(),
             scratch: (0..worker_count).map(|_| HashMap::new()).collect(),
+            #[cfg(test)]
+            reference: EpochScheduler::new(image, monitors, node_count),
         }
     }
 
@@ -263,6 +285,12 @@ impl EventEngine {
         self.worker_count
     }
 
+    /// Threads a fan-out can actually use: the worker count capped at the machine's
+    /// parallelism. At 1 everything runs inline on the calling thread.
+    pub(crate) fn usable_threads(&self) -> usize {
+        self.worker_count.min(self.cores)
+    }
+
     fn slot(&self, node: NodeId) -> &MemberSlot {
         assert!(node < self.node_count, "unknown node {node}");
         &self.slots[node]
@@ -276,6 +304,8 @@ impl EventEngine {
             alive: false,
         };
         self.alive_count -= 1;
+        #[cfg(test)]
+        self.reference.crash(node);
     }
 
     /// Bring a down member back up, patchless — the caller re-synchronizes it.
@@ -283,6 +313,8 @@ impl EventEngine {
         assert!(!self.slot(node).alive, "node {node} is already up");
         self.slots[node].alive = true;
         self.alive_count += 1;
+        #[cfg(test)]
+        self.reference.rejoin(node);
     }
 
     /// Add a brand-new member (no patches) and return its id.
@@ -294,6 +326,8 @@ impl EventEngine {
         });
         self.node_count += 1;
         self.alive_count += 1;
+        #[cfg(test)]
+        assert_eq!(self.reference.join(), id);
         id
     }
 
@@ -302,10 +336,15 @@ impl EventEngine {
     pub(crate) fn reset_and_apply(&mut self, node: NodeId, plan: &PatchPlan) {
         assert!(self.slot(node).alive, "node {node} is down");
         self.slots[node].config = self.table.successor(EMPTY_CONFIG, plan);
+        #[cfg(test)]
+        self.reference.reset_and_apply(node, plan);
     }
 
-    /// Execute one epoch; see `EpochScheduler::run_epoch` for the contract. The
-    /// record stream is byte-identical to the classic scheduler's.
+    /// Execute one epoch: run every presentation on its member, collecting one
+    /// [`RunRecord`] per presentation (returned in batch order). `active` lists the
+    /// failure locations with live responses; a digest is built for each. Members
+    /// are partitioned round-robin over workers, so no materialized environment is
+    /// ever touched by two threads.
     pub(crate) fn run_epoch(
         &mut self,
         presentations: &[Presentation],
@@ -325,10 +364,7 @@ impl EventEngine {
 
         let (program, monitors) = (&self.program, self.monitors);
         let (table, slots) = (&self.table, &self.slots);
-        let threaded = self.parallel
-            && worker_count > 1
-            && self.cores > 1
-            && presentations.len() >= SMALL_EPOCH_INLINE;
+        let threaded = self.usable_threads() > 1 && presentations.len() >= SMALL_EPOCH_INLINE;
         let mut records: Vec<RunRecord> = if threaded {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = self
@@ -356,6 +392,8 @@ impl EventEngine {
                 .collect()
         };
         records.sort_by_key(|r| r.seq);
+        #[cfg(test)]
+        parity::assert_same_records(&records, &self.reference.run_epoch(presentations, active));
         records
     }
 
@@ -386,12 +424,16 @@ impl EventEngine {
         for scratch in &mut self.scratch {
             scratch.retain(|id, _| live.contains(id));
         }
+        #[cfg(test)]
+        self.reference.apply_plan(plan);
     }
 
-    /// Amortized parallel learning; see `EpochScheduler::learn` for the share
-    /// assignment. Returns only members with a non-empty share — a pageless
-    /// member's local model is empty and merging it is a no-op, so the fleet
-    /// reconstructs its (empty) upload from the alive set.
+    /// Amortized parallel learning (Section 3.1): page `i` is traced by member
+    /// `i % node_count` (the seed's round-robin), each member infers invariants from
+    /// its share only, and the local models come back in member order — the uploads
+    /// the sharded store then merges. Returns only up members with a non-empty
+    /// share — a pageless member's local model is empty and merging it is a no-op,
+    /// so the fleet reconstructs its (empty) upload from the alive set.
     pub(crate) fn learn(
         &mut self,
         image: &BinaryImage,
@@ -418,8 +460,7 @@ impl EventEngine {
             (node, frontend.into_model())
         };
 
-        let threaded =
-            self.parallel && self.worker_count > 1 && self.cores > 1 && learners.len() > 1;
+        let threaded = self.usable_threads() > 1 && learners.len() > 1;
         let mut locals: Vec<(NodeId, LearnedModel)> = if threaded {
             let mut buckets: Vec<Vec<NodeId>> =
                 (0..self.worker_count).map(|_| Vec::new()).collect();
@@ -442,6 +483,8 @@ impl EventEngine {
             learners.iter().map(|n| learn_one(*n)).collect()
         };
         locals.sort_by_key(|(node, _)| *node);
+        #[cfg(test)]
+        parity::assert_same_learning(&locals, &self.reference.learn(image, pages));
         locals
     }
 
@@ -525,5 +568,7 @@ fn run_worker(
         .collect()
 }
 
+#[cfg(test)]
+mod parity;
 #[cfg(test)]
 mod tests;

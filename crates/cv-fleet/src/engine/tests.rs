@@ -1,6 +1,7 @@
-//! A configuration is its units, in order, and nothing else. The mutant these kill —
-//! interning that ignores unit order — is listed with the others in
-//! `cv-patch/src/check.rs`.
+//! A configuration is its units, in order, and nothing else. The mutants these kill
+//! are listed with the others in `parity.rs`. Every `run_epoch` below is also
+//! compared with the per-member-environment reference the engine carries in this
+//! build.
 
 use super::*;
 use cv_inference::Variable;
@@ -75,7 +76,7 @@ fn installation_order_distinguishes_configurations() {
 #[test]
 fn a_bootstrapped_member_shares_the_configuration_of_those_pushed_to() {
     let (image, mov, out) = program();
-    let mut engine = EventEngine::new(&image, MonitorConfig::full(), 3, 1, false);
+    let mut engine = EventEngine::new(&image, MonitorConfig::full(), 3, 1);
     let (first, second) = (
         plan([(out, checks(mov, out))]),
         plan([(mov, repair(mov, 1))]),
@@ -105,4 +106,49 @@ fn a_bootstrapped_member_shares_the_configuration_of_those_pushed_to() {
         );
     }
     assert_eq!(engine.resident_state_bytes(), 3 * 8);
+}
+
+#[test]
+fn a_reset_member_holds_the_plan_and_nothing_else() {
+    let (image, mov, out) = program();
+    let mut engine = EventEngine::new(&image, MonitorConfig::full(), 2, 1);
+    engine.apply_plan(&plan([(out, checks(mov, out)), (mov, repair(mov, 9))]));
+    // Member 1 is rolled back onto a configuration without the repair.
+    engine.reset_and_apply(1, &plan([(out, checks(mov, out))]));
+    assert_eq!(engine.table.units(engine.slots[1].config).len(), 1);
+
+    let pages: Vec<Presentation> = (0..2).map(|node| Presentation::new(node, [0])).collect();
+    let records = engine.run_epoch(&pages, &[out]);
+    assert_eq!(records[0].rendered, [9]);
+    assert_eq!(records[1].rendered, [0], "no clamp survives the reset");
+}
+
+/// A push over an existing installation replaces it, on the engine and on the
+/// reference alike — so the two agree on every plan sequence, not only those the
+/// responder protocol emits (its installs always follow the matching remove). The
+/// reference used to drop the old handles without uninstalling: the first clamp
+/// stayed and this page rendered 9 there.
+#[test]
+fn an_install_over_an_installation_replaces_it() {
+    let (image, mov, out) = program();
+    let mut engine = EventEngine::new(&image, MonitorConfig::full(), 2, 1);
+    let pages: Vec<Presentation> = (0..2).map(|node| Presentation::new(node, [0])).collect();
+
+    engine.apply_plan(&plan([(out, checks(mov, out))]));
+    engine.apply_plan(&plan([(out, checks(mov, out))]));
+    assert_eq!(engine.table.units(engine.slots[0].config).len(), 1);
+    for record in engine.run_epoch(&pages, &[out]) {
+        assert_eq!(
+            record.digests[0].1.observations.len(),
+            1,
+            "one check, observed once"
+        );
+    }
+
+    engine.apply_plan(&plan([(mov, repair(mov, 9))]));
+    engine.apply_plan(&plan([(mov, repair(mov, 1))]));
+    assert_eq!(engine.table.units(engine.slots[0].config).len(), 2);
+    for record in engine.run_epoch(&pages, &[out]) {
+        assert_eq!(record.rendered, [1], "only the second clamp is installed");
+    }
 }

@@ -1,8 +1,6 @@
 //! The fleet engine: the sharded ClearView manager for a large application community.
 //!
-//! A [`Fleet`] owns the member-execution engine (the event-driven
-//! [`EventEngine`] by default, the classic [`EpochScheduler`] as the parity
-//! baseline — see [`EngineKind`]), the
+//! A [`Fleet`] owns the member-execution engine (an [`EventEngine`]), the
 //! sharded community invariant store, the *sharded manager plane* (a
 //! [`ResponderShard`] per slice of failure locations, fed by a pure
 //! [`DigestRouter`]), the batched console log, and the fleet metrics. Execution is
@@ -29,7 +27,6 @@
 use crate::engine::EventEngine;
 use crate::metrics::{FleetMetrics, MetricEvent};
 use crate::protocol::{BatchLog, FleetMessage, NodeId, Presentation};
-use crate::scheduler::{EpochScheduler, RunRecord};
 use crate::shard::ShardedInvariantStore;
 use crate::sync::{MembershipOp, SyncOutcome, SyncPayload, SyncSource, TierSyncPlane};
 use crate::transport::{
@@ -60,21 +57,6 @@ const MAX_RETRANSMIT_ROUNDS: u32 = 12;
 /// Cap of the exponential backoff between retransmit rounds, in transport ticks.
 const MAX_BACKOFF_TICKS: u32 = 16;
 
-/// Which member-execution engine a [`Fleet`] runs on. Both engines produce
-/// byte-identical [`BatchLog`]s for the same inputs (`tests/engine_parity.rs`);
-/// they differ only in memory footprint and scalability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The event-driven engine: one shared read-only image and discovered-code
-    /// index per fleet, copy-on-write run state, and an 8-byte slot per member
-    /// (a config handle and an alive flag).
-    #[default]
-    Event,
-    /// The classic scheduler: one full execution environment per member. Kept
-    /// as the parity baseline; memory scales with members × image size.
-    Legacy,
-}
-
 /// Construction knobs for a [`Fleet`].
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
@@ -89,11 +71,6 @@ pub struct FleetConfig {
     pub manager_shard_count: usize,
     /// Monitor configuration for every member.
     pub monitors: MonitorConfig,
-    /// Run workers on real threads (`false` = single partition on the calling
-    /// thread; the sequential baseline for benchmarks).
-    pub parallel: bool,
-    /// The member-execution engine.
-    pub engine: EngineKind,
     /// Fan-out of the hierarchical manager tree (0 or 1 = flat merge and push,
     /// the seed's single coordinator). With a fan-out of `F`, per-shard plans
     /// merge in groups of `F` per tier and the push is accounted tier by tier —
@@ -106,7 +83,7 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Defaults for `node_count` members: auto worker count, 8 store shards, 8
-    /// manager shards, full monitors, parallel execution.
+    /// manager shards, full monitors.
     pub fn new(node_count: usize) -> Self {
         FleetConfig {
             node_count,
@@ -114,8 +91,6 @@ impl FleetConfig {
             shard_count: 8,
             manager_shard_count: 8,
             monitors: MonitorConfig::full(),
-            parallel: true,
-            engine: EngineKind::default(),
             tree_fanout: 0,
             transport: TransportKind::default(),
         }
@@ -147,21 +122,8 @@ impl FleetConfig {
 
     /// Force sequential execution: one worker partition, no threads, no worker-pool
     /// setup. The manager shards are likewise driven inline on the calling thread.
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self.worker_count = 1;
-        self
-    }
-
-    /// Override the member-execution engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Run on the classic per-member-environment scheduler (the parity baseline).
-    pub fn legacy_engine(self) -> Self {
-        self.with_engine(EngineKind::Legacy)
+    pub fn sequential(self) -> Self {
+        self.with_workers(1)
     }
 
     /// Merge and push patch plans through a hierarchical manager tree with the
@@ -221,138 +183,16 @@ impl EpochOutcome {
     }
 }
 
-/// The member-execution engine behind a [`Fleet`]: either the classic
-/// per-member-environment scheduler or the event-driven engine. Every call
-/// forwards; the two implementations agree byte-for-byte on every output
-/// (`tests/engine_parity.rs`), so the rest of the fleet never branches on which
-/// one is running.
-enum Engine {
-    Legacy(EpochScheduler),
-    Event(EventEngine),
-}
-
-impl Engine {
-    fn node_count(&self) -> usize {
-        match self {
-            Engine::Legacy(s) => s.node_count(),
-            Engine::Event(e) => e.node_count(),
-        }
-    }
-
-    fn alive_count(&self) -> usize {
-        match self {
-            Engine::Legacy(s) => s.alive_count(),
-            Engine::Event(e) => e.alive_count(),
-        }
-    }
-
-    fn is_alive(&self, node: NodeId) -> bool {
-        match self {
-            Engine::Legacy(s) => s.is_alive(node),
-            Engine::Event(e) => e.is_alive(node),
-        }
-    }
-
-    fn worker_count(&self) -> usize {
-        match self {
-            Engine::Legacy(s) => s.worker_count(),
-            Engine::Event(e) => e.worker_count(),
-        }
-    }
-
-    fn crash(&mut self, node: NodeId) {
-        match self {
-            Engine::Legacy(s) => s.crash(node),
-            Engine::Event(e) => e.crash(node),
-        }
-    }
-
-    fn rejoin(&mut self, node: NodeId) {
-        match self {
-            Engine::Legacy(s) => s.rejoin(node),
-            Engine::Event(e) => e.rejoin(node),
-        }
-    }
-
-    fn join(&mut self) -> NodeId {
-        match self {
-            Engine::Legacy(s) => s.join(),
-            Engine::Event(e) => e.join(),
-        }
-    }
-
-    fn reset_and_apply(&mut self, node: NodeId, plan: &PatchPlan) {
-        match self {
-            Engine::Legacy(s) => s.reset_and_apply(node, plan),
-            Engine::Event(e) => e.reset_and_apply(node, plan),
-        }
-    }
-
-    fn run_epoch(&mut self, presentations: &[Presentation], active: &[Addr]) -> Vec<RunRecord> {
-        match self {
-            Engine::Legacy(s) => s.run_epoch(presentations, active),
-            Engine::Event(e) => e.run_epoch(presentations, active),
-        }
-    }
-
-    fn apply_plan(&mut self, plan: &PatchPlan) {
-        match self {
-            Engine::Legacy(s) => s.apply_plan(plan),
-            Engine::Event(e) => e.apply_plan(plan),
-        }
-    }
-
-    /// Run distributed learning. The classic scheduler returns one local model
-    /// per alive member (a pageless member's is empty); the event engine only
-    /// returns members that actually traced pages — the fleet reconstructs the
-    /// dense upload report itself, so the logs agree.
-    fn learn(&mut self, image: &BinaryImage, pages: &[Vec<Word>]) -> Vec<(NodeId, LearnedModel)> {
-        match self {
-            Engine::Legacy(s) => s.learn(image, pages),
-            Engine::Event(e) => e.learn(image, pages),
-        }
-    }
-
-    /// Bytes of member-proportional state. The event engine measures its
-    /// slots; the classic scheduler's members each own a full
-    /// environment (a flat copy of the image plus machine bookkeeping), which
-    /// is estimated from the image dimensions rather than walked.
-    fn resident_state_bytes(&self, image: &BinaryImage) -> u64 {
-        match self {
-            Engine::Legacy(s) => {
-                let image_bytes =
-                    (image.code.len() + image.data.len()) * std::mem::size_of::<Word>();
-                s.node_count() as u64 * (image_bytes as u64 + 256)
-            }
-            Engine::Event(e) => e.resident_state_bytes(),
-        }
-    }
-
-    /// Bytes shared across all members (zero for the classic scheduler — it
-    /// shares nothing).
-    fn shared_state_bytes(&self) -> u64 {
-        match self {
-            Engine::Legacy(_) => 0,
-            Engine::Event(e) => e.shared_state_bytes(),
-        }
-    }
-}
-
 /// A sharded, parallel application community under ClearView protection.
 pub struct Fleet {
     image: BinaryImage,
     config: ClearViewConfig,
     monitors: MonitorConfig,
-    engine: Engine,
+    engine: EventEngine,
     store: ShardedInvariantStore,
     model: LearnedModel,
     router: DigestRouter,
     manager_shards: Vec<ResponderShard>,
-    parallel: bool,
-    /// Threads the manager fan-out may use: the worker count capped at the machine's
-    /// available parallelism (oversubscribing a latency-sensitive fan-out only adds
-    /// spawn overhead, unlike the members' simulation pool).
-    manager_threads: usize,
     /// Fan-out of the hierarchical manager tree (0 or 1 = flat merge and push).
     tree_fanout: usize,
     log: BatchLog,
@@ -460,31 +300,13 @@ impl Fleet {
     /// Create a fleet of `fleet_config.node_count` members running `image`, with an
     /// empty model.
     pub fn new(image: BinaryImage, config: ClearViewConfig, fleet_config: FleetConfig) -> Self {
-        let engine = match fleet_config.engine {
-            EngineKind::Legacy => Engine::Legacy(EpochScheduler::new(
-                &image,
-                fleet_config.monitors,
-                fleet_config.node_count,
-                fleet_config.worker_count,
-                fleet_config.parallel,
-            )),
-            EngineKind::Event => Engine::Event(EventEngine::new(
-                &image,
-                fleet_config.monitors,
-                fleet_config.node_count,
-                fleet_config.worker_count,
-                fleet_config.parallel,
-            )),
-        };
+        let engine = EventEngine::new(
+            &image,
+            fleet_config.monitors,
+            fleet_config.node_count,
+            fleet_config.worker_count,
+        );
         let manager_shard_count = fleet_config.manager_shard_count.max(1);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let manager_threads = if fleet_config.parallel {
-            engine.worker_count().min(cores)
-        } else {
-            1
-        };
         let (transport, chaos) = fleet_config.transport.build();
         let lossy = transport.is_lossy();
         Fleet {
@@ -501,8 +323,6 @@ impl Fleet {
             manager_shards: (0..manager_shard_count)
                 .map(|_| ResponderShard::new())
                 .collect(),
-            parallel: fleet_config.parallel,
-            manager_threads,
             tree_fanout: fleet_config.tree_fanout,
             log: BatchLog::new(),
             metric_log: Vec::new(),
@@ -1708,9 +1528,9 @@ impl Fleet {
             }
         }
         // Every alive member reports, even one whose round-robin share was empty
-        // (its upload is zero invariants). The classic scheduler returns those
-        // members with empty models; the event engine skips them — either way
-        // the console log lists the whole alive fleet, in node order.
+        // (its upload is zero invariants). The engine returns no model for those
+        // members; the console log still lists the whole alive fleet, in node
+        // order.
         let mut uploads = Vec::with_capacity(self.alive_count());
         for node in 0..self.node_count() {
             if self.engine.is_alive(node) {
@@ -1858,8 +1678,7 @@ impl Fleet {
             buckets,
             &self.model,
             &self.config,
-            self.parallel,
-            self.manager_threads,
+            self.engine.usable_threads(),
             self.obs_id,
             epoch,
         );
@@ -2093,7 +1912,7 @@ impl Fleet {
             ran_parallel,
         });
         self.record(MetricEvent::MemberResidency {
-            resident_bytes: self.engine.resident_state_bytes(&self.image),
+            resident_bytes: self.engine.resident_state_bytes(),
             shared_bytes: self.engine.shared_state_bytes(),
             members: self.node_count() as u64,
         });
@@ -2187,17 +2006,16 @@ const MIN_PARALLEL_MANAGER_EVENTS: usize = 512;
 /// multiple threads.
 ///
 /// Shards are distributed in contiguous chunks across at most `manager_threads`
-/// threads when `parallel` is set, more than one bucket carries work, and the batch
-/// is large enough to amortize the spawns; otherwise they run inline on the calling
-/// thread. Either way the result is identical — shards are mutually independent and
-/// individually deterministic.
-#[allow(clippy::too_many_arguments)]
+/// threads — the engine's worker count capped at the machine's parallelism, since
+/// oversubscribing a latency-sensitive fan-out only adds spawn overhead — when more
+/// than one bucket carries work and the batch is large enough to amortize the
+/// spawns; otherwise they run inline on the calling thread. Either way the result is
+/// identical — shards are mutually independent and individually deterministic.
 fn drive_shards(
     shards: &mut [ResponderShard],
     buckets: Vec<ShardBucket>,
     model: &LearnedModel,
     config: &ClearViewConfig,
-    parallel: bool,
     manager_threads: usize,
     obs_id: u64,
     epoch: u64,
@@ -2209,7 +2027,7 @@ fn drive_shards(
         .iter()
         .map(|b| b.digests.len() + b.failures.len())
         .sum();
-    if parallel && workers > 1 && occupied > 1 && events >= MIN_PARALLEL_MANAGER_EVENTS {
+    if workers > 1 && occupied > 1 && events >= MIN_PARALLEL_MANAGER_EVENTS {
         let mut slots: Vec<Option<(ShardOutcome, Duration)>> = Vec::new();
         slots.resize_with(shards.len(), || None);
         std::thread::scope(|scope| {

@@ -9,15 +9,15 @@
 //! * [`ShardedInvariantStore`] (`shard.rs`) — the community invariant database
 //!   partitioned by check-address shard, so member uploads merge in parallel, one
 //!   worker per shard, with a result identical to the sequential merge.
-//! * [`EventEngine`] (`engine.rs`) — the default member-execution engine:
-//!   execution batched into epochs and fanned out across worker threads over
-//!   **one shared read-only program image** per fleet; a member is an 8-byte
-//!   slot (an interned patch-configuration handle and an alive flag), and runs
-//!   borrow copy-on-write state from a per-worker materialized-config cache —
-//!   eight bytes per member instead of a full environment.
-//! * [`EpochScheduler`] (`scheduler.rs`) — the classic engine: each member keeps
-//!   its own `ManagedExecutionEnvironment`. Byte-identical outputs to the event
-//!   engine (`tests/engine_parity.rs`); kept as the parity baseline.
+//! * [`EventEngine`] (`engine.rs`) — the member-execution engine: execution
+//!   batched into epochs and fanned out across worker threads over **one shared
+//!   read-only program image** per fleet; a member is an 8-byte slot (an
+//!   interned patch-configuration handle and an alive flag), and runs borrow
+//!   copy-on-write state from a per-worker materialized-config cache — eight
+//!   bytes per member instead of a full environment. What it must be
+//!   indistinguishable from — every member owning a long-lived environment of
+//!   its own — is `scheduler.rs`, compiled into this crate's test build only,
+//!   where every engine checks itself against it call by call.
 //! * The **sharded manager plane** (`cv_core::manager`, driven by `fleet.rs`) — the
 //!   responder state partitioned by failure location into
 //!   [`ResponderShard`](cv_core::ResponderShard)s fed by a pure
@@ -49,16 +49,16 @@ mod engine;
 mod fleet;
 mod metrics;
 mod protocol;
+#[cfg(test)]
 mod scheduler;
 mod shard;
 mod sync;
 mod transport;
 
 pub use engine::EventEngine;
-pub use fleet::{EngineKind, EpochOutcome, Fleet, FleetConfig, MemberOutcome};
+pub use fleet::{EpochOutcome, Fleet, FleetConfig, MemberOutcome};
 pub use metrics::{FleetMetrics, ImmunityRecord, MetricEvent};
 pub use protocol::{BatchLog, FleetMessage, NodeId, PatchPushKind, Presentation};
-pub use scheduler::EpochScheduler;
 pub use shard::ShardedInvariantStore;
 pub use sync::{
     MembershipOp, SyncOutcome, SyncPayload, SyncSource, TierRow, TierSyncError, TierSyncPlane,

@@ -111,10 +111,10 @@ pub enum MetricEvent {
         /// Epochs from sync to first completed presentation.
         epochs: u64,
     },
-    /// One epoch's member-state memory accounting (the event engine's
-    /// copy-on-write plane; the classic scheduler reports an estimate).
+    /// One epoch's member-state memory accounting (the engine's copy-on-write
+    /// plane).
     MemberResidency {
-        /// Bytes proportional to the member count (the event engine's slots).
+        /// Bytes proportional to the member count (the engine's slots).
         resident_bytes: u64,
         /// Bytes shared across all members (shared program, config table,
         /// per-worker materialized environments), amortized per member.
