@@ -58,6 +58,7 @@ pub struct InstWithAddr {
 
 impl InstWithAddr {
     /// Address of the next instruction in straight-line order.
+    #[inline]
     pub fn next_addr(&self) -> Addr {
         self.addr + self.len
     }

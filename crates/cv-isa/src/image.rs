@@ -66,6 +66,7 @@ impl Default for MemoryLayout {
 
 impl MemoryLayout {
     /// Total number of addressable words (the end of the stack segment).
+    #[inline]
     pub fn total_words(&self) -> usize {
         (self.stack_base + self.stack_size) as usize
     }
@@ -77,26 +78,31 @@ impl MemoryLayout {
     }
 
     /// One past the last valid code address.
+    #[inline]
     pub fn code_end(&self) -> Addr {
         self.code_base + self.code_size
     }
 
     /// One past the last valid data address.
+    #[inline]
     pub fn data_end(&self) -> Addr {
         self.data_base + self.data_size
     }
 
     /// One past the last valid heap address.
+    #[inline]
     pub fn heap_end(&self) -> Addr {
         self.heap_base + self.heap_size
     }
 
     /// One past the last valid stack address.
+    #[inline]
     pub fn stack_end(&self) -> Addr {
         self.stack_base + self.stack_size
     }
 
     /// Classify an address into a segment.
+    #[inline]
     pub fn segment_of(&self, addr: Addr) -> Segment {
         if addr >= self.code_base && addr < self.code_end() {
             Segment::Code
@@ -112,6 +118,7 @@ impl MemoryLayout {
     }
 
     /// True if `addr` names a valid (mapped) word.
+    #[inline]
     pub fn is_mapped(&self, addr: Addr) -> bool {
         self.segment_of(addr) != Segment::Unmapped
     }
@@ -139,11 +146,13 @@ pub struct BinaryImage {
 
 impl BinaryImage {
     /// The address one past the last code word.
+    #[inline]
     pub fn code_end(&self) -> Addr {
         self.layout.code_base + self.code.len() as u32
     }
 
     /// True if `addr` falls within the loaded code words (not merely the code segment).
+    #[inline]
     pub fn contains_code_addr(&self, addr: Addr) -> bool {
         addr >= self.layout.code_base && addr < self.code_end()
     }

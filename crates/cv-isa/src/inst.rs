@@ -52,6 +52,9 @@ impl Cond {
     }
 
     /// Evaluate the condition against a set of flags.
+    // Forced inline: the run loops branch on it at every `jcc`, and with a plain
+    // `#[inline]` it stayed a call there.
+    #[inline(always)]
     pub fn eval(self, flags: crate::Flags) -> bool {
         let lt = flags.sign != flags.overflow;
         match self {

@@ -101,6 +101,7 @@ impl Flags {
     ///
     /// The sign flag is the sign bit of the (wrapping) result; the signed "less than"
     /// condition is `sign != overflow`, exactly as on x86.
+    #[inline]
     pub fn from_cmp(a: u32, b: u32) -> Flags {
         let (res, carry) = a.overflowing_sub(b);
         let (_, overflow) = (a as i32).overflowing_sub(b as i32);
@@ -113,6 +114,7 @@ impl Flags {
     }
 
     /// Compute flags for a result value (used by `add`, `sub`, logical operations).
+    #[inline]
     pub fn from_result(res: u32, carry: bool, overflow: bool) -> Flags {
         Flags {
             zero: res == 0,

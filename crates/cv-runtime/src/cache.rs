@@ -4,8 +4,10 @@
 //! cache of dynamically built basic blocks; patches are applied by ejecting the affected
 //! blocks and re-building them with instrumentation (Section 2.1), so an instruction
 //! that carries no patch pays nothing for the patches elsewhere. The cache here plays
-//! the same role, and keeps the per-instruction cost of running out of it to one bounds
-//! check, one load and one compare:
+//! the same role. A fetch from it is a subtraction, a bounds check and the slot's stamp
+//! compared with the table's generation; the block loop borrows the table once for a
+//! whole run of hits and matches each instruction where it lies in its slot, without
+//! copying it (see `env.rs`):
 //!
 //! * **A slot per code word.** [`CodeTable`] holds one slot for every word of the code
 //!   segment, indexed by `addr − code_base`: the instruction decoded at that address,
@@ -86,7 +88,7 @@ const NEVER_FILLED: Slot = Slot {
 /// Decoded instructions for a code segment, one slot per word, indexed by address.
 ///
 /// The private, lazily filled table of a [`CodeCache`] and the fully pre-built one a
-/// [`SharedProgram`](crate::SharedProgram) shares are the same type: the run loop has
+/// [`SharedProgram`](crate::SharedProgram) shares are the same type: each run loop has
 /// one fetch for both.
 #[derive(Debug)]
 pub struct CodeTable {
@@ -141,10 +143,11 @@ impl CodeTable {
         table
     }
 
-    /// The cached instruction at `addr` and its length: what the run loop reads on every
-    /// guest instruction. By reference, so that the loop copies the instruction once,
-    /// into place; handed over as an `Option<InstWithAddr>` it was copied twice, the
-    /// second time through a stalled load — 1.5 ns of a 9 ns instruction.
+    /// The cached instruction at `addr` and its length: what both run loops read on
+    /// every guest instruction. By reference, so that the block loop matches the
+    /// instruction in its slot and the per-instruction loop copies it once, into place;
+    /// handed over as an `Option<InstWithAddr>` it was copied twice, the second time
+    /// through a stalled load — 1.5 ns of a 9 ns instruction.
     #[inline]
     pub(crate) fn hit(&self, addr: Addr) -> Option<(&Inst, u32)> {
         let slot = self.slots.get(addr.wrapping_sub(self.code_base) as usize)?;
@@ -377,7 +380,8 @@ impl CodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cv_isa::{Cond, Operand, ProgramBuilder, Reg};
+    use crate::testgen::random_image;
+    use cv_isa::{Cond, ProgramBuilder, Reg};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -617,38 +621,6 @@ mod tests {
             self.blocks.clear();
             self.inst_index.clear();
         }
-    }
-
-    /// A program from a byte string: short straight-line runs broken by every kind of
-    /// block end, with jump targets anywhere in the segment (mid-instruction too) and
-    /// small immediates, so that an operand word read as an opcode is often a valid one.
-    fn random_image(shape: &[(u8, u8)]) -> BinaryImage {
-        let mut b = ProgramBuilder::new();
-        let main = b.function("main");
-        let base = b.here();
-        let target = |t: u8| base + (t as Addr % (3 * shape.len() as Addr));
-        for &(kind, t) in shape {
-            match kind % 12 {
-                0 | 1 => b.mov(Reg::Eax, (t % 24) as u32),
-                2 => b.add(Reg::Ebx, Reg::Eax),
-                3 => b.cmp(Reg::Eax, (t % 24) as u32),
-                4 => b.nop(),
-                5 => b.push(Reg::Eax),
-                6 => b.emit(Inst::Jcc {
-                    cond: Cond::Eq,
-                    target: target(t),
-                }),
-                7 => b.emit(Inst::Jmp { target: target(t) }),
-                8 => b.emit(Inst::Call { target: target(t) }),
-                9 => b.emit(Inst::CallIndirect {
-                    target: Operand::Reg(Reg::Eax),
-                }),
-                10 => b.ret(),
-                _ => b.halt(),
-            };
-        }
-        b.set_entry(main);
-        b.build().unwrap()
     }
 
     /// Where the steps aim: block starts, the instructions inside them, the words inside

@@ -190,7 +190,7 @@ impl HookRegistry {
     }
 
     /// Index in `sites` of the site at `addr`.
-    #[inline]
+    #[inline(always)]
     fn site_index(&self, addr: Addr) -> Option<usize> {
         match self.site_of.get(addr.wrapping_sub(self.code_base) as usize) {
             Some(0) => None,
@@ -209,7 +209,10 @@ impl HookRegistry {
     }
 
     /// The hooks to run before the instruction at `addr`, in installation order.
-    #[inline]
+    ///
+    /// Forced inline (with `site_index`): both run loops ask at every instruction,
+    /// and traced runs measured ~5% slower with the lookup called.
+    #[inline(always)]
     pub(crate) fn at_mut(&mut self, addr: Addr) -> Option<&mut [HookEntry]> {
         let index = self.site_index(addr)?;
         Some(&mut self.sites[index].hooks)

@@ -39,6 +39,8 @@ mod memory;
 mod monitors;
 mod shared;
 mod stats;
+#[cfg(test)]
+mod testgen;
 mod trace;
 
 pub use cache::{BasicBlock, CodeCache, CodeTable};

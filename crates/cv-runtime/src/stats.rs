@@ -4,9 +4,10 @@
 //! Section 4.4). Our substrate is an interpreter, so absolute times are meaningless;
 //! instead the runtime counts the events that *cause* the paper's overheads
 //! (instructions, monitor checks, trace records, cache builds) and a [`CostModel`]
-//! converts them into simulated time units. The benchmark harnesses report both these
-//! simulated overheads (for the Table 2 / learning-overhead shapes) and real wall-clock
-//! Criterion measurements of the reproduction itself.
+//! converts them into simulated time units. The `cv-bench` binaries report these
+//! simulated overheads (for the Table 2 / learning-overhead shapes); the repository
+//! benchmark (`benchmark/`) measures the reproduction itself in wall-clock time, and
+//! holds these counts exact from one commit to the next.
 
 use serde::{Deserialize, Serialize};
 

@@ -9,7 +9,10 @@
 //! from a warm one, and from a warm one after patches were applied to it (two hooks at
 //! every `ret`, one at every call: the hooked blocks are ejected and rebuilt). It was
 //! recorded at the commit before the dense code cache and must never change unless the
-//! guest or the counting rules do — then regenerate it with
+//! guest or the counting rules do. Both run loops must render it byte for byte: the
+//! block loop every protected run executes on, and the per-instruction loop learning
+//! executes on (tracing nothing here). When the guest or the rules change, regenerate
+//! it with
 //!
 //! ```text
 //! cargo test --test exec_stats_golden regenerate_exec_stats_golden -- --ignored
@@ -19,10 +22,10 @@
 //! same hooks installed, over the evaluation pages and the ten Red Team exploit pages.
 
 use clearview::apps::{evaluation_suite, red_team_exploits, Browser};
-use clearview::isa::{decode_all, Addr, BinaryImage, Inst};
+use clearview::isa::{decode_all, Addr, BinaryImage, Inst, Word};
 use clearview::runtime::{
     EnvConfig, ExecutionStats, Hook, HookAction, HookContext, ManagedExecutionEnvironment,
-    MonitorConfig, ObservationKind, SharedProgram,
+    MonitorConfig, ObservationKind, RecordingTracer, RunResult, SharedProgram,
 };
 use std::fmt::Write;
 
@@ -79,8 +82,21 @@ fn line(out: &mut String, config: MonitorConfig, pass: &str, page: usize, s: Exe
     .expect("writing to a String");
 }
 
+/// How a page is run: by the block loop or by the per-instruction loop.
+type Runner = fn(&mut ManagedExecutionEnvironment, &[Word]) -> RunResult;
+
+/// The protected run: the block loop.
+fn block_loop(env: &mut ManagedExecutionEnvironment, page: &[Word]) -> RunResult {
+    env.run(page)
+}
+
+/// The learning run's loop, with a tracer that traces no address.
+fn per_instruction_loop(env: &mut ManagedExecutionEnvironment, page: &[Word]) -> RunResult {
+    env.run_with_tracer(page, &mut RecordingTracer::with_filter([]))
+}
+
 /// Every page's stats under every configuration, cold, warm and patched.
-fn record() -> String {
+fn record(run: Runner) -> String {
     let image = Browser::build().image;
     let pages = evaluation_suite();
     assert_eq!(pages.len(), 57);
@@ -91,18 +107,18 @@ fn record() -> String {
             ManagedExecutionEnvironment::new(image.clone(), EnvConfig::with_monitors(config));
         for (i, page) in pages.iter().enumerate() {
             env.flush_cache();
-            let r = env.run(page);
+            let r = run(&mut env, page);
             assert!(r.is_completed(), "evaluation pages are benign");
             line(&mut out, config, "cold", i, r.stats);
         }
         for (i, page) in pages.iter().enumerate() {
-            line(&mut out, config, "warm", i, env.run(page).stats);
+            line(&mut out, config, "warm", i, run(&mut env, page).stats);
         }
         for &addr in &sites {
             env.apply_hook(addr, Box::new(Check));
         }
         for (i, page) in pages.iter().enumerate() {
-            let r = env.run(page);
+            let r = run(&mut env, page);
             assert_eq!(r.observations.len() as u64, r.stats.hook_invocations);
             line(&mut out, config, "patched", i, r.stats);
         }
@@ -110,21 +126,31 @@ fn record() -> String {
     out
 }
 
-#[test]
-fn evaluation_page_stats_match_the_recording() {
-    let fresh = record();
+fn assert_matches_the_recording(fresh: &str) {
     assert_eq!(fresh.lines().count(), 57 * 5 * 3);
     for (n, (got, want)) in fresh.lines().zip(GOLDEN.lines()).enumerate() {
         assert_eq!(got, want, "line {} of exec_stats_golden.txt", n + 1);
     }
-    assert_eq!(fresh.lines().count(), GOLDEN.lines().count());
+    assert_eq!(fresh, GOLDEN);
+}
+
+#[test]
+fn evaluation_page_stats_match_the_recording() {
+    assert_matches_the_recording(&record(block_loop));
+}
+
+/// The counts are the loops' common meaning, not one loop's: learning's loop, tracing
+/// nothing, renders the same bytes.
+#[test]
+fn the_per_instruction_loop_matches_the_recording_too() {
+    assert_matches_the_recording(&record(per_instruction_loop));
 }
 
 #[test]
 #[ignore = "rewrites tests/exec_stats_golden.txt; run only when the guest or the counting rules change"]
 fn regenerate_exec_stats_golden() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/exec_stats_golden.txt");
-    std::fs::write(path, record()).expect("write the recording");
+    std::fs::write(path, record(block_loop)).expect("write the recording");
 }
 
 /// A classic and a shared-program environment carrying the same patches see the same
