@@ -1,7 +1,8 @@
 //! The member-execution engine.
 //!
 //! Community execution proceeds in *epochs*: a batch of page presentations is fanned
-//! out across worker threads, every run's failure report and invariant-check
+//! out across worker threads (the calling thread runs the first worker's share, so
+//! an epoch starts one thread fewer), every run's failure report and invariant-check
 //! observations are collected into [`RunRecord`]s, and the central manager processes
 //! the batch between epochs. Patch operations produced by the manager are applied to
 //! every up member at the epoch boundary — the fleet equivalent of the paper's
@@ -365,32 +366,12 @@ impl EventEngine {
         let (program, monitors) = (&self.program, self.monitors);
         let (table, slots) = (&self.table, &self.slots);
         let threaded = self.usable_threads() > 1 && presentations.len() >= SMALL_EPOCH_INLINE;
-        let mut records: Vec<RunRecord> = if threaded {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .scratch
-                    .iter_mut()
-                    .zip(&jobs)
-                    .map(|(scratch, batch)| {
-                        scope.spawn(move || {
-                            run_worker(program, monitors, table, slots, scratch, batch, active)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        } else {
-            self.scratch
-                .iter_mut()
-                .zip(&jobs)
-                .flat_map(|(scratch, batch)| {
-                    run_worker(program, monitors, table, slots, scratch, batch, active)
-                })
-                .collect()
-        };
+        // Threaded, the calling thread runs worker 0's share itself.
+        let first_spawned = if threaded { 1 } else { worker_count };
+        let shares = self.scratch.iter_mut().zip(&jobs);
+        let mut records = fan_out(shares, first_spawned, |(scratch, batch)| {
+            run_worker(program, monitors, table, slots, scratch, batch, active)
+        });
         records.sort_by_key(|r| r.seq);
         #[cfg(test)]
         parity::assert_same_records(&records, &self.reference.run_epoch(presentations, active));
@@ -460,28 +441,19 @@ impl EventEngine {
             (node, frontend.into_model())
         };
 
+        let mut buckets: Vec<Vec<NodeId>> = (0..self.worker_count).map(|_| Vec::new()).collect();
+        for node in &learners {
+            buckets[node % self.worker_count].push(*node);
+        }
+        // Threaded, every share gets a thread and the calling thread waits. A learner
+        // builds and drops whole environments, and with the caller running share 0
+        // the scheduler was measured to queue the spawned share behind it on the
+        // caller's core until it finished: learning took ×1.5 as long on 2 vCPUs.
         let threaded = self.usable_threads() > 1 && learners.len() > 1;
-        let mut locals: Vec<(NodeId, LearnedModel)> = if threaded {
-            let mut buckets: Vec<Vec<NodeId>> =
-                (0..self.worker_count).map(|_| Vec::new()).collect();
-            for node in &learners {
-                buckets[node % self.worker_count].push(*node);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .iter()
-                    .map(|bucket| {
-                        scope.spawn(|| bucket.iter().map(|n| learn_one(*n)).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        } else {
-            learners.iter().map(|n| learn_one(*n)).collect()
-        };
+        let first_spawned = if threaded { 0 } else { buckets.len() };
+        let mut locals = fan_out(buckets, first_spawned, |bucket| {
+            bucket.into_iter().map(&learn_one).collect()
+        });
         locals.sort_by_key(|(node, _)| *node);
         #[cfg(test)]
         parity::assert_same_learning(&locals, &self.reference.learn(image, pages));
@@ -523,6 +495,29 @@ impl EventEngine {
             .sum();
         self.program.resident_bytes() as u64 + (table + envs) as u64
     }
+}
+
+/// Run `work` over every share and concatenate the results in share order. Shares
+/// from index `first_spawned` on each get a spawned thread; the calling thread runs
+/// the shares before that index meanwhile, rather than idling in a join.
+fn fan_out<S: Send, R: Send>(
+    shares: impl IntoIterator<Item = S>,
+    first_spawned: usize,
+    work: impl Fn(S) -> Vec<R> + Sync,
+) -> Vec<R> {
+    let mut shares = shares.into_iter();
+    let inline: Vec<S> = shares.by_ref().take(first_spawned).collect();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shares
+            .map(|share| scope.spawn(move || work(share)))
+            .collect();
+        let mut results: Vec<R> = inline.into_iter().flat_map(work).collect();
+        for handle in handles {
+            results.extend(handle.join().expect("worker panicked"));
+        }
+        results
+    })
 }
 
 /// Run one worker's share of an epoch against its materialized configs.

@@ -152,3 +152,46 @@ fn an_install_over_an_installation_replaces_it() {
         assert_eq!(record.rendered, [1], "only the second clamp is installed");
     }
 }
+
+/// Which configurations a worker materialises feeds `shared_state_bytes`, and so
+/// `bytes_per_member`: an epoch big enough to run on the worker threads still
+/// deals member `n` to worker `n % worker_count`, whichever thread runs the share.
+#[test]
+fn a_worker_materialises_exactly_the_configurations_of_its_members() {
+    let (image, mov, out) = program();
+    for worker_count in [2, 3] {
+        let mut engine = EventEngine::new(&image, MonitorConfig::full(), 24, worker_count);
+        engine.apply_plan(&plan([(out, checks(mov, out))]));
+        for node in (1..24).step_by(2) {
+            engine.reset_and_apply(node, &plan([(mov, repair(mov, 9))]));
+        }
+        assert_ne!(engine.slots[0].config, engine.slots[1].config);
+
+        let pages: Vec<Presentation> = (0..24).map(|node| Presentation::new(node, [0])).collect();
+        assert!(pages.len() >= SMALL_EPOCH_INLINE);
+        engine.run_epoch(&pages, &[out]);
+        for (worker, scratch) in engine.scratch.iter().enumerate() {
+            let held: HashSet<ConfigId> = scratch.keys().copied().collect();
+            let dealt: HashSet<ConfigId> = (worker..24)
+                .step_by(worker_count)
+                .map(|node| engine.slots[node].config)
+                .collect();
+            assert_eq!(held, dealt, "worker {worker} of {worker_count}");
+        }
+    }
+}
+
+/// A presentation to a member that does not exist is refused by the engine's
+/// assert, not by an index panic on the way to it.
+#[test]
+#[should_panic(expected = "unknown node")]
+fn an_epoch_for_an_unknown_member_panics_naming_it() {
+    let (image, _, _) = program();
+    let mut fleet = crate::Fleet::new(
+        image,
+        cv_core::ClearViewConfig::default(),
+        crate::FleetConfig::new(4),
+    );
+    let node = fleet.node_count();
+    fleet.run_epoch(&[Presentation::new(node, [0])]);
+}

@@ -6,7 +6,7 @@
 //! [`DigestRouter`]), the batched console log, and the fleet metrics. Execution is
 //! epoch-batched: the caller schedules a batch of presentations, workers run them in
 //! parallel, the manager routes the resulting digests into per-shard buckets, the
-//! shards drive their responders in parallel across the same worker pool, and the
+//! shards drive their responders one after another on the calling thread, and the
 //! per-shard patch plans merge — deterministically, by failure location — into one
 //! fleet-wide [`PatchPlan`] pushed to every member at the epoch boundary.
 //!
@@ -683,8 +683,11 @@ impl Fleet {
         if presentations.is_empty() {
             return Vec::new();
         }
-        let targets: BTreeSet<PeerId> = presentations.iter().map(|p| p.node as PeerId).collect();
+        // One mark per target node, drained in ascending id. An unknown node is
+        // marked too, so that the engine's "unknown node" assert reports it.
+        let mut targets = vec![false; presentations.iter().map(|p| p.node + 1).max().unwrap_or(0)];
         for presentation in presentations {
+            targets[presentation.node] = true;
             let seq = self.next_seq();
             self.transport.send(Envelope {
                 from: COORDINATOR,
@@ -698,8 +701,10 @@ impl Fleet {
             self.transport.tick();
         }
         let mut arrived: Vec<(u64, Presentation)> = Vec::with_capacity(presentations.len());
-        for &peer in &targets {
-            for env in self.transport.recv(peer) {
+        let mut inbox = Vec::new();
+        for peer in (0..targets.len()).filter(|&node| targets[node]) {
+            self.transport.recv_into(peer as PeerId, &mut inbox);
+            for env in inbox.drain(..) {
                 if env.epoch != epoch || !self.dedupe.accept(&env) {
                     continue; // stale straggler or chaos duplicate
                 }
@@ -1556,8 +1561,9 @@ impl Fleet {
     }
 
     /// Execute one epoch: run `presentations` across the fleet in parallel, route
-    /// the digests into per-shard manager buckets, drive the responder shards in
-    /// parallel, merge their patch plans, and push the merged plan to every member.
+    /// the digests into per-shard manager buckets, drive the responder shards one
+    /// after another, merge their patch plans, and push the merged plan to every
+    /// member.
     pub fn run_epoch(&mut self, presentations: &[Presentation]) -> EpochOutcome {
         self.run_epoch_churn(presentations, &[])
     }
@@ -1604,11 +1610,13 @@ impl Fleet {
             .arg("fleet", self.obs_id)
             .arg("epoch", epoch);
 
-        // Pure routing: flatten the batch into routed digests and failure events (in
-        // batch order), then partition them by failure location.
+        // Pure routing: every digest and failure event goes straight into the
+        // bucket of the shard owning its failure location, in batch order.
         let routing_span = recorder().span("fleet.routing", "fleet");
-        let mut digests: Vec<RoutedDigest> = Vec::new();
-        let mut failure_events: Vec<FailureEvent> = Vec::new();
+        let mut buckets: Vec<ShardBucket> = (0..self.manager_shards.len())
+            .map(|_| ShardBucket::default())
+            .collect();
+        let mut digest_count = 0u64;
         let mut failures: Vec<(NodeId, Addr)> = Vec::new();
         for record in &mut records {
             if matches!(record.status, RunStatus::Completed) {
@@ -1624,12 +1632,15 @@ impl Fleet {
                 // patches — the membership-level mid-batch reconfiguration rule.
                 record.digests.clear();
             }
+            digest_count += record.digests.len() as u64;
             for (location, digest) in record.digests.drain(..) {
-                digests.push(RoutedDigest {
-                    source: record.node,
-                    location,
-                    digest,
-                });
+                buckets[self.router.shard_of(location)]
+                    .digests
+                    .push(RoutedDigest {
+                        source: record.node,
+                        location,
+                        digest,
+                    });
             }
             if let Some(failure) = &record.failure {
                 failures.push((record.node, failure.location));
@@ -1650,14 +1661,14 @@ impl Fleet {
                     location: failure.location,
                     epoch,
                 });
-                failure_events.push(FailureEvent {
-                    source: record.node,
-                    failure: failure.clone(),
-                });
+                buckets[self.router.shard_of(failure.location)]
+                    .failures
+                    .push(FailureEvent {
+                        source: record.node,
+                        failure: failure.clone(),
+                    });
             }
         }
-        let digest_count = digests.len() as u64;
-        let buckets = self.router.route(digests, failure_events);
         routing_span
             .arg("fleet", self.obs_id)
             .arg("epoch", epoch)
@@ -1665,24 +1676,22 @@ impl Fleet {
             .arg("failures", failures.len() as u64)
             .finish();
 
-        // Fan the buckets across the worker pool: each worker drives a disjoint
-        // slice of responder shards. Shards share nothing, so this is embarrassingly
-        // parallel; per-shard busy time is measured inside the worker.
+        // Drive each responder shard over its bucket; per-shard busy time is
+        // measured around each shard.
         let fanout_span = recorder()
             .timed_span("fleet.manager_fanout", "fleet")
             .arg("fleet", self.obs_id)
             .arg("epoch", epoch)
             .arg("shards", self.manager_shards.len() as u64);
-        let (outcomes, ran_parallel) = drive_shards(
+        let outcomes = drive_shards(
             &mut self.manager_shards,
             buckets,
             &self.model,
             &self.config,
-            self.engine.usable_threads(),
             self.obs_id,
             epoch,
         );
-        let fanout = fanout_span.arg("parallel", ran_parallel as u64).finish();
+        let fanout = fanout_span.finish();
 
         // Deterministic merge: per-shard plans collapse into one canonically ordered
         // fleet-wide plan; observation reports merge by (disjoint) location.
@@ -1909,7 +1918,7 @@ impl Fleet {
         self.record(MetricEvent::ManagerFanout {
             shard_busy,
             fanout,
-            ran_parallel,
+            ran_parallel: false,
         });
         self.record(MetricEvent::MemberResidency {
             resident_bytes: self.engine.resident_state_bytes(),
@@ -1996,95 +2005,27 @@ impl SyncSource for Fleet {
     }
 }
 
-/// Minimum routed events in an epoch before the manager fan-out spawns threads.
-/// Below this, per-shard work is microseconds and thread spawns would dominate the
-/// very latency the fan-out exists to cut — small epochs run inline.
-const MIN_PARALLEL_MANAGER_EVENTS: usize = 512;
-
-/// Drive every responder shard over its bucket, returning each shard's outcome and
-/// busy time (in shard-index order) plus whether the fan-out actually ran on
-/// multiple threads.
-///
-/// Shards are distributed in contiguous chunks across at most `manager_threads`
-/// threads — the engine's worker count capped at the machine's parallelism, since
-/// oversubscribing a latency-sensitive fan-out only adds spawn overhead — when more
-/// than one bucket carries work and the batch is large enough to amortize the
-/// spawns; otherwise they run inline on the calling thread. Either way the result is
-/// identical — shards are mutually independent and individually deterministic.
+/// Drive every responder shard over its bucket on the calling thread, returning
+/// each shard's outcome and busy time in shard-index order. Shards are mutually
+/// independent and individually deterministic. A manager pass is tens of
+/// microseconds, about what a spawned thread takes to start, so it spawns none.
 fn drive_shards(
     shards: &mut [ResponderShard],
     buckets: Vec<ShardBucket>,
     model: &LearnedModel,
     config: &ClearViewConfig,
-    manager_threads: usize,
     obs_id: u64,
     epoch: u64,
-) -> (Vec<(ShardOutcome, Duration)>, bool) {
+) -> Vec<(ShardOutcome, Duration)> {
     debug_assert_eq!(shards.len(), buckets.len());
-    let workers = manager_threads.min(shards.len()).max(1);
-    let occupied = buckets.iter().filter(|b| !b.is_empty()).count();
-    let events: usize = buckets
-        .iter()
-        .map(|b| b.digests.len() + b.failures.len())
-        .sum();
-    if workers > 1 && occupied > 1 && events >= MIN_PARALLEL_MANAGER_EVENTS {
-        let mut slots: Vec<Option<(ShardOutcome, Duration)>> = Vec::new();
-        slots.resize_with(shards.len(), || None);
-        std::thread::scope(|scope| {
-            // Chunk shards (and their buckets and output slots) into contiguous
-            // per-worker slices; each worker drives its slice in order.
-            let chunk = shards.len().div_ceil(workers);
-            let shard_chunks = shards.chunks_mut(chunk);
-            let slot_chunks = slots.chunks_mut(chunk);
-            let mut buckets = buckets;
-            // Draining from the front keeps bucket i with shard i.
-            let mut rest = buckets.drain(..);
-            let mut chunk_start = 0u64;
-            for (shard_chunk, slot_chunk) in shard_chunks.zip(slot_chunks) {
-                let chunk_buckets: Vec<ShardBucket> =
-                    rest.by_ref().take(shard_chunk.len()).collect();
-                let first_shard = chunk_start;
-                chunk_start += shard_chunk.len() as u64;
-                scope.spawn(move || {
-                    for (offset, ((shard, bucket), slot)) in shard_chunk
-                        .iter_mut()
-                        .zip(chunk_buckets)
-                        .zip(slot_chunk.iter_mut())
-                        .enumerate()
-                    {
-                        *slot = Some(process_timed(
-                            shard,
-                            bucket,
-                            model,
-                            config,
-                            obs_id,
-                            epoch,
-                            first_shard + offset as u64,
-                        ));
-                    }
-                });
-            }
-        });
-        (
-            slots
-                .into_iter()
-                .map(|s| s.expect("every shard processed"))
-                .collect(),
-            true,
-        )
-    } else {
-        (
-            shards
-                .iter_mut()
-                .zip(buckets)
-                .enumerate()
-                .map(|(index, (shard, bucket))| {
-                    process_timed(shard, bucket, model, config, obs_id, epoch, index as u64)
-                })
-                .collect(),
-            false,
-        )
-    }
+    shards
+        .iter_mut()
+        .zip(buckets)
+        .enumerate()
+        .map(|(index, (shard, bucket))| {
+            process_timed(shard, bucket, model, config, obs_id, epoch, index as u64)
+        })
+        .collect()
 }
 
 /// Process one bucket on one shard, measuring the shard's busy time. The busy

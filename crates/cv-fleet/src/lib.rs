@@ -23,17 +23,17 @@
 //!   [`ResponderShard`](cv_core::ResponderShard)s fed by a pure
 //!   [`DigestRouter`](cv_core::DigestRouter); per-shard
 //!   [`PatchPlan`](cv_core::PatchPlan)s merge deterministically (stable sort by
-//!   failure location), so the sharded-parallel manager writes a byte-identical
-//!   [`BatchLog`] to the sequential one.
+//!   failure location), so a fleet writes a byte-identical [`BatchLog`] whatever
+//!   its shard and worker counts.
 //! * [`FleetMessage`] / [`BatchLog`] (`protocol.rs`) — the batched wire protocol:
 //!   invariant uploads, failure notifications, observation reports, and shard-merged
 //!   patch plans travel as per-epoch batches instead of one message per event.
 //! * [`FleetMetrics`] (`metrics.rs`) — pages/sec throughput, time-to-immunity per
-//!   exploit, patch-propagation latency, and per-shard manager time with the
-//!   manager-parallel speedup. Since PR 6 the aggregate is a **fold of the
-//!   fleet's [`MetricEvent`] stream** ([`Fleet::metric_log`]) — one accounting
-//!   source of truth — and the hot path is instrumented with `cv-obs` spans
-//!   whose measurements are the very durations the events carry.
+//!   exploit, patch-propagation latency, and per-shard manager time. The
+//!   aggregate is a **fold of the fleet's [`MetricEvent`] stream**
+//!   ([`Fleet::metric_log`]) — one accounting source of truth — and the hot path
+//!   is instrumented with `cv-obs` spans whose measurements are the very
+//!   durations the events carry.
 //! * [`Fleet`] (`fleet.rs`) — the engine tying them together: the paper's learn →
 //!   detect → check → repair → distribute loop, at community scale.
 //!

@@ -3,9 +3,8 @@
 //! The paper evaluates ClearView per machine (overhead, patch-generation time). At
 //! community scale the interesting quantities are aggregates: how many pages per
 //! second the fleet sustains, how long an exploit takes from first detection to
-//! community-wide immunity, how quickly a patch push reaches every member, and how
-//! well the sharded manager plane parallelizes (per-shard busy time and the
-//! manager-parallel speedup).
+//! community-wide immunity, how quickly a patch push reaches every member, and
+//! where the sharded manager plane spends its time (per-shard busy time).
 //!
 //! Since PR 6 the fleet does not mutate counters ad hoc: every accountable
 //! occurrence is a [`MetricEvent`] appended to the fleet's metric log, and
@@ -45,7 +44,7 @@ pub enum MetricEvent {
         shard_busy: Vec<Duration>,
         /// Wall time of the fan-out section.
         fanout: Duration,
-        /// Whether the fan-out actually ran on multiple threads.
+        /// Whether the fan-out ran on multiple threads (a fleet's never does).
         ran_parallel: bool,
     },
     /// One patch-push round reaching `members` members.
@@ -235,8 +234,8 @@ pub struct FleetMetrics {
     /// Wall-clock time spent in the manager plane overall (routing, responder
     /// shards, plan merge).
     pub manager_time: Duration,
-    /// Wall-clock time of the shard fan-out section of the manager (the part that
-    /// runs in parallel).
+    /// Wall-clock time of the shard fan-out section of the manager (every shard
+    /// driven over its bucket).
     pub manager_fanout_time: Duration,
     /// Per-manager-shard busy time (accumulated across epochs).
     manager_shard_busy: Vec<Duration>,
@@ -611,11 +610,12 @@ impl FleetMetrics {
     /// The manager-parallel speedup: total shard busy time divided by fan-out wall
     /// time, over the epochs whose fan-out actually ran on multiple threads.
     ///
-    /// `None` when **no fan-out ever ran on multiple threads** (single worker,
-    /// single core, or too little manager work to fan out) — there is no parallel
-    /// section to measure, which is different from measuring one and getting 1.0.
-    /// Approaches the shard count when busy time spreads evenly across parallel
-    /// workers.
+    /// `None` when **no fan-out ever ran on multiple threads** — there is no
+    /// parallel section to measure, which is different from measuring one and
+    /// getting 1.0. A [`Fleet`](crate::Fleet) drives its manager shards on the
+    /// calling thread (a pass is tens of microseconds, about what a spawned thread
+    /// takes to start), so for a fleet this always reads `None`; it stays because
+    /// the JSON and `Display` forms of the metrics carry it.
     pub fn manager_parallel_speedup(&self) -> Option<f64> {
         let busy = self.manager_parallel_busy.as_secs_f64();
         let wall = self.manager_parallel_wall.as_secs_f64();

@@ -6,8 +6,10 @@
 //! through a [`Transport`]. Three backends ship:
 //!
 //! * [`InProcessTransport`] — per-peer FIFO queues; no serialization, an
-//!   envelope fans out by `Arc` refcount. The default, byte-identical to the
-//!   pre-transport fleet.
+//!   envelope fans out by `Arc` refcount. Member inboxes are a `Vec` indexed by
+//!   node id and [`Transport::recv_into`] drains one into the caller's buffer,
+//!   so delivering a page is a push and a drain. The default, byte-identical to
+//!   the pre-transport fleet.
 //! * [`SocketTransport`] — a loopback TCP pair; every envelope is encoded,
 //!   length-framed, crosses a real kernel socket, and is decoded on the other
 //!   side. Lossless and ordered, so a fleet on it writes the same
@@ -19,19 +21,20 @@
 //!   [`ChaosControls`]. Same seed, same faults — chaos runs are reproducible.
 //!
 //! Delivery is made reliable *above* the transport: receivers deduplicate by
-//! `(to, from, epoch, seq)` ([`DedupeWindow`]) so retransmits and duplicates
-//! are no-ops, and senders retransmit unacked envelopes with capped exponential
-//! backoff. [`SequencedApplier`] is the executable model of that application
-//! layer — any permutation-with-duplicates of an envelope stream folds to the
-//! same invariant database and net patch plan as in-order exactly-once
-//! delivery (proven by proptest in `tests/transport_stream.rs`).
+//! `(to, from, epoch, seq)` ([`DedupeWindow`], one hash insert per envelope)
+//! so retransmits and duplicates are no-ops, and senders retransmit unacked
+//! envelopes with capped exponential backoff. [`SequencedApplier`] is the
+//! executable model of that application layer — any permutation-with-duplicates
+//! of an envelope stream folds to the same invariant database and net patch plan
+//! as in-order exactly-once delivery (proven by proptest in
+//! `tests/transport_stream.rs`).
 
 use crate::shard::ShardedInvariantStore;
 use cv_core::{NetPatchState, PatchPlan};
 use cv_inference::InvariantDatabase;
 use cv_store::{Envelope, EnvelopePayload};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -115,6 +118,12 @@ pub trait Transport {
     /// Drain everything currently deliverable to `peer`.
     fn recv(&mut self, peer: PeerId) -> Vec<Envelope>;
 
+    /// [`Transport::recv`] appended to `out`: the same envelopes in the same
+    /// order, for a caller that drains many inboxes through one buffer.
+    fn recv_into(&mut self, peer: PeerId, out: &mut Vec<Envelope>) {
+        out.extend(self.recv(peer));
+    }
+
     /// Backend name (for traces and bench records).
     fn name(&self) -> &'static str;
 
@@ -139,10 +148,13 @@ pub trait Transport {
 
 /// Per-peer FIFO queues in process memory: the seed's function-call exchange
 /// expressed as a [`Transport`]. Nothing is serialized; large payloads move by
-/// `Arc` refcount.
+/// `Arc` refcount. A member's inbox is found by indexing with its node id, so the
+/// inboxes take room up to the highest member id addressed; the few
+/// coordinator-side peers live in a map.
 #[derive(Debug, Default)]
 pub struct InProcessTransport {
-    inboxes: BTreeMap<PeerId, VecDeque<Envelope>>,
+    members: Vec<VecDeque<Envelope>>,
+    coordinators: BTreeMap<PeerId, VecDeque<Envelope>>,
     stats: TransportStats,
 }
 
@@ -156,21 +168,38 @@ impl InProcessTransport {
 impl Transport for InProcessTransport {
     fn send(&mut self, envelope: Envelope) {
         self.stats.sent += 1;
-        self.inboxes
-            .entry(envelope.to)
-            .or_default()
-            .push_back(envelope);
+        let peer = envelope.to;
+        if is_coordinator_side(peer) {
+            self.coordinators
+                .entry(peer)
+                .or_default()
+                .push_back(envelope);
+        } else {
+            let index = peer as usize;
+            if index >= self.members.len() {
+                self.members.resize_with(index + 1, VecDeque::new);
+            }
+            self.members[index].push_back(envelope);
+        }
     }
 
     fn tick(&mut self) {}
 
     fn recv(&mut self, peer: PeerId) -> Vec<Envelope> {
-        match self.inboxes.get_mut(&peer) {
-            Some(queue) => {
-                self.stats.delivered += queue.len() as u64;
-                queue.drain(..).collect()
-            }
-            None => Vec::new(),
+        let mut out = Vec::new();
+        self.recv_into(peer, &mut out);
+        out
+    }
+
+    fn recv_into(&mut self, peer: PeerId, out: &mut Vec<Envelope>) {
+        let inbox = if is_coordinator_side(peer) {
+            self.coordinators.get_mut(&peer)
+        } else {
+            self.members.get_mut(peer as usize)
+        };
+        if let Some(queue) = inbox {
+            self.stats.delivered += queue.len() as u64;
+            out.extend(queue.drain(..));
         }
     }
 
@@ -610,6 +639,10 @@ impl Transport for ChaosTransport {
         self.inner.recv(peer)
     }
 
+    fn recv_into(&mut self, peer: PeerId, out: &mut Vec<Envelope>) {
+        self.inner.recv_into(peer, out)
+    }
+
     fn name(&self) -> &'static str {
         "chaos"
     }
@@ -682,11 +715,15 @@ impl TransportKind {
 // ---------------------------------------------------------------------------
 
 /// The receiver-side idempotence filter: remembers every `(to, from, epoch,
-/// seq)` it has accepted, so duplicates and retransmits are identified in
-/// O(log n). Retired epochs can be pruned to bound memory.
+/// seq)` it has accepted, one hash set of `(to, from, seq)` per epoch, so a
+/// duplicate or retransmit is identified by one hash lookup. Retiring epochs
+/// drops their sets whole, without looking at their keys; the newest retired
+/// set is kept, emptied, for the next epoch, which then starts at the size an
+/// epoch last reached instead of growing into it.
 #[derive(Debug, Default)]
 pub struct DedupeWindow {
-    seen: BTreeSet<(PeerId, PeerId, u64, u64)>,
+    seen: BTreeMap<u64, HashSet<(PeerId, PeerId, u64)>>,
+    spare: HashSet<(PeerId, PeerId, u64)>,
     /// Duplicates rejected so far (the duplicate-suppression counter).
     suppressed: u64,
 }
@@ -702,7 +739,9 @@ impl DedupeWindow {
     pub fn accept(&mut self, envelope: &Envelope) -> bool {
         let fresh = self
             .seen
-            .insert((envelope.to, envelope.from, envelope.epoch, envelope.seq));
+            .entry(envelope.epoch)
+            .or_insert_with(|| std::mem::take(&mut self.spare))
+            .insert((envelope.to, envelope.from, envelope.seq));
         if !fresh {
             self.suppressed += 1;
         }
@@ -717,7 +756,14 @@ impl DedupeWindow {
     /// Forget keys from epochs before `floor` (their senders can no longer
     /// retransmit them — the fleet only retransmits within an epoch).
     pub fn retire_below(&mut self, floor: u64) {
-        self.seen.retain(|&(_, _, epoch, _)| epoch >= floor);
+        let kept = self.seen.split_off(&floor);
+        if let Some(mut newest) = std::mem::replace(&mut self.seen, kept)
+            .into_values()
+            .next_back()
+        {
+            newest.clear();
+            self.spare = newest;
+        }
     }
 }
 

@@ -1,10 +1,12 @@
 //! Sharded-manager correctness, mirroring `shard_parity.rs` for the manager plane:
-//! a fleet whose responder state is partitioned across many shards and driven in
-//! parallel must write a **byte-identical** [`BatchLog`] — and reach byte-identical
-//! responder state — to a fleet whose manager runs as the seed's single sequential
-//! responder pass. The canonical [`PatchPlan`] merge (stable sort by failure
-//! location) is what makes the histories comparable at all: without it, op order
-//! within an epoch would depend on shard count.
+//! a fleet whose responder state is partitioned across many shards, with its
+//! members spread over several workers, must write a **byte-identical**
+//! [`BatchLog`] — and reach byte-identical responder state — to a fleet with one
+//! manager shard and one worker, the seed's single responder pass. The manager
+//! pass itself runs on the calling thread either way; what varies is the worker
+//! count and the shard count. The canonical [`PatchPlan`] merge (stable sort by
+//! failure location) is what makes the histories comparable at all: without it,
+//! op order within an epoch would depend on shard count.
 
 use cv_apps::{learning_suite, red_team_exploits, Browser, Exploit};
 use cv_core::ClearViewConfig;
@@ -45,10 +47,10 @@ fn run_scenario(config: FleetConfig) -> Fleet {
 }
 
 #[test]
-fn sharded_parallel_manager_writes_the_same_log_as_the_sequential_manager() {
+fn workers_and_shards_do_not_change_the_log() {
     // The seed shape: one manager shard, one worker, no threads.
     let sequential = run_scenario(FleetConfig::new(NODES).sequential().with_manager_shards(1));
-    // The sharded shape: responder state split 8 ways, driven across 4 workers.
+    // The sharded shape: responder state split 8 ways, members over 4 workers.
     let sharded = run_scenario(
         FleetConfig::new(NODES)
             .with_workers(4)
@@ -59,7 +61,7 @@ fn sharded_parallel_manager_writes_the_same_log_as_the_sequential_manager() {
     assert_eq!(
         sequential.log(),
         sharded.log(),
-        "sharded and sequential managers diverged"
+        "the sharded, four-worker fleet diverged from the single-shard, one-worker fleet"
     );
     // Byte-identical histories, not merely structurally equal ones.
     assert_eq!(
@@ -125,11 +127,9 @@ fn per_shard_manager_metrics_are_recorded() {
         "at least one manager shard did measurable work"
     );
     assert!(metrics.manager_ms_per_epoch() > 0.0);
-    // None (no multi-threaded fan-out ran) and Some(s >= 0) are both legal here —
-    // whether the fan-out spawns depends on machine parallelism and batch size.
-    if let Some(speedup) = metrics.manager_parallel_speedup() {
-        assert!(speedup >= 0.0);
-    }
+    // The manager pass runs its shards on the calling thread, so there is no
+    // parallel section to measure a speedup over.
+    assert_eq!(metrics.manager_parallel_speedup(), None);
     // The speedup column renders in the Display output either way.
     let rendered = format!("{metrics}");
     assert!(rendered.contains("parallel speedup"), "{rendered}");

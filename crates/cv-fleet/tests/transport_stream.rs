@@ -9,14 +9,23 @@
 //! uploads and patch pushes the same way. Proving the model delivery-order
 //! independent is what licenses the transport to drop, duplicate, reorder, and
 //! retransmit freely.
+//!
+//! Below that, two structures on the delivery path are held to plain models:
+//! [`DedupeWindow`] to a sorted set of every key it accepted, and
+//! [`Transport::recv_into`] to [`Transport::recv`] on every backend.
 
 use cv_core::{Directive, PatchPlan};
-use cv_fleet::{Envelope, EnvelopePayload, SequencedApplier, COORDINATOR};
+use cv_fleet::{
+    tier_peer, ChaosConfig, ChaosTransport, DedupeWindow, Envelope, EnvelopePayload,
+    InProcessTransport, PeerId, SequencedApplier, SocketTransport, Transport, TransportStats,
+    COORDINATOR,
+};
 use cv_inference::{Invariant, InvariantDatabase, Variable};
 use cv_isa::Operand;
 use cv_patch::{CheckPatch, RepairPatch, RepairStrategy};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn invariant_strategy() -> BoxedStrategy<Invariant> {
@@ -185,5 +194,150 @@ proptest! {
             format!("{:?}", reference.net_plan()),
             format!("{:?}", chaotic.net_plan()),
         );
+    }
+}
+
+/// One step against a [`DedupeWindow`]: offer the key `(to, from, epoch, seq)`,
+/// or retire every epoch below a floor.
+#[derive(Debug, Clone)]
+enum WindowOp {
+    Accept(PeerId, PeerId, u64, u64),
+    Retire(u64),
+}
+
+/// One op in four retires. Small ranges, so keys repeat within and across
+/// epochs, and a retired epoch is offered again.
+fn window_op_strategy() -> BoxedStrategy<WindowOp> {
+    (0u8..4, 0u32..3, 0u32..2, 0u64..5, 0u64..4)
+        .prop_map(|(kind, to, from, epoch, seq)| match kind {
+            0 => WindowOp::Retire(epoch),
+            _ => WindowOp::Accept(to, from, epoch, seq),
+        })
+        .boxed()
+}
+
+/// The endpoints the delivery checks address: members 0–2 and 6 (so inboxes 3–5
+/// are never addressed), the root, and the tier coordinators 1..3.
+fn endpoints() -> Vec<PeerId> {
+    vec![
+        0,
+        1,
+        2,
+        6,
+        COORDINATOR,
+        tier_peer(1),
+        tier_peer(2),
+        tier_peer(3),
+    ]
+}
+
+/// Send `rounds` of `(from, to)` endpoint picks through `transport`, ticking
+/// once and draining every endpoint (plus one nobody addresses) after each
+/// round, then flushing and draining once more. Returns every envelope in the
+/// order it came out, and the final counters; `into` drains through
+/// [`Transport::recv_into`] into one buffer that is never cleared.
+fn drain_all(
+    mut transport: Box<dyn Transport>,
+    rounds: &[Vec<(usize, usize)>],
+    into: bool,
+) -> (Vec<Envelope>, TransportStats) {
+    let endpoints = endpoints();
+    let mut drained = Vec::new();
+    let mut drain = |transport: &mut Box<dyn Transport>| {
+        for peer in endpoints.iter().copied().chain([77]) {
+            if into {
+                transport.recv_into(peer, &mut drained);
+            } else {
+                drained.extend(transport.recv(peer));
+            }
+        }
+    };
+    let mut seq = 0u64;
+    for round in rounds {
+        for &(from, to) in round {
+            transport.send(Envelope {
+                from: endpoints[from % endpoints.len()],
+                to: endpoints[to % endpoints.len()],
+                epoch: 1,
+                seq,
+                payload: EnvelopePayload::Page(vec![seq as u32]),
+            });
+            seq += 1;
+        }
+        transport.tick();
+        drain(&mut transport);
+    }
+    for _ in 0..transport.flush_ticks() {
+        transport.tick();
+    }
+    drain(&mut transport);
+    let stats = transport.stats();
+    (drained, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The per-epoch hash sets answer every offer, and count every duplicate,
+    /// exactly as one sorted set of `(to, from, epoch, seq)` pruned by epoch.
+    #[test]
+    fn dedupe_window_matches_a_set_of_every_accepted_key(
+        ops in prop::collection::vec(window_op_strategy(), 1..120),
+    ) {
+        let mut window = DedupeWindow::new();
+        let mut model: BTreeSet<(PeerId, PeerId, u64, u64)> = BTreeSet::new();
+        let mut suppressed = 0u64;
+        for op in ops {
+            match op {
+                WindowOp::Accept(to, from, epoch, seq) => {
+                    let fresh = model.insert((to, from, epoch, seq));
+                    suppressed += u64::from(!fresh);
+                    let envelope = Envelope {
+                        from,
+                        to,
+                        epoch,
+                        seq,
+                        payload: EnvelopePayload::Ack,
+                    };
+                    prop_assert_eq!(window.accept(&envelope), fresh);
+                }
+                WindowOp::Retire(floor) => {
+                    model.retain(|&(_, _, epoch, _)| epoch >= floor);
+                    window.retire_below(floor);
+                }
+            }
+            prop_assert_eq!(window.suppressed(), suppressed);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `recv_into` hands back what `recv` would — the same envelopes, in the
+    /// same order, with the same counters — on the in-process backend (member
+    /// and tier inboxes), the socket backend, and chaos with a delay window.
+    #[test]
+    fn recv_into_delivers_what_recv_delivers_on_every_backend(
+        rounds in prop::collection::vec(
+            prop::collection::vec((any::<usize>(), any::<usize>()), 0..12),
+            1..5,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let backends: [fn(u64) -> Box<dyn Transport>; 3] = [
+            |_| Box::new(InProcessTransport::new()),
+            |_| Box::new(SocketTransport::new().expect("loopback socket pair")),
+            |seed| {
+                let config = ChaosConfig::standard(seed);
+                assert!(config.delay_ticks > 0);
+                Box::new(ChaosTransport::new(Box::new(InProcessTransport::new()), config))
+            },
+        ];
+        for build in backends {
+            let by_recv = drain_all(build(seed), &rounds, false);
+            let by_recv_into = drain_all(build(seed), &rounds, true);
+            prop_assert_eq!(&by_recv, &by_recv_into);
+        }
     }
 }
