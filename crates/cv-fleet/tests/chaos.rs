@@ -16,6 +16,7 @@
 use cv_apps::{evaluation_suite, learning_suite, red_team_exploits, Browser, Exploit};
 use cv_core::ClearViewConfig;
 use cv_fleet::{ChaosConfig, Fleet, FleetConfig, Presentation, TransportKind};
+use cv_store::crc32;
 
 fn exploit(browser: &Browser, bugzilla: u32) -> Exploit {
     red_team_exploits(browser)
@@ -34,6 +35,29 @@ fn build_fleet(browser: &Browser, nodes: usize, transport: TransportKind) -> Fle
     );
     fleet.distributed_learning(&learning_suite());
     fleet
+}
+
+/// A chaos history's cross-version golden: the CRC-32 of the rendered batch log
+/// and the transport counters `envelopes_dropped / retransmits /
+/// duplicates_suppressed / partition_drops / transport_desyncs /
+/// transport_resyncs / transport_delta_resyncs`. Comparing two runs of one build
+/// cannot catch a rewrite of the acked exchange that changes what chaos does;
+/// these pins can. Regenerate them only for a change that is meant to alter the
+/// protocol history, and say why where the change is recorded.
+fn chaos_pin(fleet: &Fleet) -> (u32, [u64; 7]) {
+    let m = fleet.metrics();
+    (
+        crc32(format!("{:?}", fleet.log()).as_bytes()),
+        [
+            m.envelopes_dropped,
+            m.retransmits,
+            m.duplicates_suppressed,
+            m.partition_drops,
+            m.transport_desyncs,
+            m.transport_resyncs,
+            m.transport_delta_resyncs,
+        ],
+    )
 }
 
 /// Attack a few members per epoch until the location is protected (or panic).
@@ -253,6 +277,7 @@ fn partitioned_members_rejoin_via_delta_resync() {
     let outcome = fleet.run_epoch(&verify);
     assert_eq!(outcome.blocked(), 0);
     assert_eq!(outcome.completed(), cut.len());
+    assert_eq!(chaos_pin(&fleet), (0x07fb_b56a, [0, 616, 0, 672, 8, 8, 8]));
 }
 
 /// Chaos is *seeded*: two runs with the same seed retrace each other exactly,
@@ -281,6 +306,7 @@ fn chaos_history_is_deterministic_and_failover_preserves_it() {
     assert_eq!(a.model().invariants, b.model().invariants);
     assert_eq!(a.metrics().envelopes_dropped, b.metrics().envelopes_dropped);
     assert_eq!(a.metrics().retransmits, b.metrics().retransmits);
+    assert_eq!(chaos_pin(&a), (0x83db_d283, [32, 33, 28, 0, 0, 0, 0]));
 
     // Coordinator failover: checkpoint the surviving history, restart from it
     // under the same chaos seed, and keep going. Two identical failovers must
@@ -410,5 +436,9 @@ fn thousand_member_fleet_reaches_multi_location_immunity_under_chaos() {
         outcome.blocked(),
         0,
         "an immunized member was attacked and failed"
+    );
+    assert_eq!(
+        chaos_pin(&fleet),
+        (0x89a1_e3c5, [1021, 2478, 874, 1444, 20, 20, 20])
     );
 }
