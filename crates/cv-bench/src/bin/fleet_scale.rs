@@ -236,15 +236,11 @@ fn uploads() -> Vec<InvariantDatabase> {
 /// Time `MERGE_ROUNDS` rounds of merging the uploads into a store (after two
 /// untimed warmup rounds: allocator and cache state otherwise leak across the
 /// configurations being compared).
-fn merge_time(shards: usize, parallel: bool, uploads: &[InvariantDatabase]) -> f64 {
+fn merge_time(shards: usize, uploads: &[InvariantDatabase]) -> f64 {
     let round = |timed: bool| {
         let start = Instant::now();
         let mut store = ShardedInvariantStore::new(shards);
-        if parallel {
-            store.merge_uploads(uploads);
-        } else {
-            store.merge_uploads_sequential(uploads);
-        }
+        store.merge_uploads(uploads);
         std::hint::black_box(store.len());
         if timed {
             start.elapsed().as_secs_f64()
@@ -1085,9 +1081,9 @@ fn main() {
 
     let ups = uploads();
     let invariants: usize = ups.iter().map(|u| u.len()).sum();
-    let mono = merge_time(1, false, &ups);
-    let sharded_seq = merge_time(8, false, &ups);
-    let sharded_par = merge_time(8, true, &ups);
+    let mono = merge_time(1, &ups);
+    // The JSON record keeps its `merge_sharded_parallel_seconds` key for this row.
+    let sharded = merge_time(8, &ups);
     print_table(
         &format!(
             "Invariant-store merge ({MERGE_MEMBERS} uploads, {invariants} invariants, {MERGE_ROUNDS} rounds)"
@@ -1096,14 +1092,9 @@ fn main() {
         &[
             vec!["monolithic".into(), format!("{mono:.3}"), "1.00x".into()],
             vec![
-                "8 shards, 1 thread".into(),
-                format!("{sharded_seq:.3}"),
-                format!("{:.2}x", mono / sharded_seq),
-            ],
-            vec![
-                "8 shards, parallel".into(),
-                format!("{sharded_par:.3}"),
-                format!("{:.2}x", mono / sharded_par),
+                "8 shards".into(),
+                format!("{sharded:.3}"),
+                format!("{:.2}x", mono / sharded),
             ],
         ],
     );
@@ -1301,7 +1292,7 @@ fn main() {
             MetricStats::from_histogram(&par_hist).to_json(),
         );
         let json = format!(
-            "{{\n  \"bench\": \"fleet_scale\",\n  \"nodes\": {},\n  \"workers\": {},\n  \"cores\": {cores},\n  \"epochs\": {},\n  \"rounds\": {},\n  \"warmups\": {warmups},\n  \"pages_per_second_sequential\": {seq_rate:.1},\n  \"pages_per_second_parallel\": {par_rate:.1},\n  \"scheduling_speedup\": {scheduling_speedup:.3},\n  \"merge_monolithic_seconds\": {mono:.4},\n  \"merge_sharded_parallel_seconds\": {sharded_par:.4},\n  \"manager_ms_per_epoch_sequential\": {:.4},\n  \"manager_ms_per_epoch_sharded\": {:.4},\n  \"manager_parallel_speedup\": {speedup_json},\n  \"manager_shards\": {MANAGER_SHARDS},\n  \"multi_failure_locations\": {},\n  \"immune_locations\": {},\n  \"time_to_immunity_epochs_max\": {max_immunity},\n  \"time_to_immunity_epochs\": {{ {} }}{churn_json}{metrics_json}{spread_json}\n}}\n",
+            "{{\n  \"bench\": \"fleet_scale\",\n  \"nodes\": {},\n  \"workers\": {},\n  \"cores\": {cores},\n  \"epochs\": {},\n  \"rounds\": {},\n  \"warmups\": {warmups},\n  \"pages_per_second_sequential\": {seq_rate:.1},\n  \"pages_per_second_parallel\": {par_rate:.1},\n  \"scheduling_speedup\": {scheduling_speedup:.3},\n  \"merge_monolithic_seconds\": {mono:.4},\n  \"merge_sharded_parallel_seconds\": {sharded:.4},\n  \"manager_ms_per_epoch_sequential\": {:.4},\n  \"manager_ms_per_epoch_sharded\": {:.4},\n  \"manager_parallel_speedup\": {speedup_json},\n  \"manager_shards\": {MANAGER_SHARDS},\n  \"multi_failure_locations\": {},\n  \"immune_locations\": {},\n  \"time_to_immunity_epochs_max\": {max_immunity},\n  \"time_to_immunity_epochs\": {{ {} }}{churn_json}{metrics_json}{spread_json}\n}}\n",
             opts.nodes,
             opts.workers,
             opts.epochs,

@@ -153,7 +153,7 @@ impl Community {
 
     /// Amortized parallel learning (Section 3.1): the learning pages are divided among
     /// the members round-robin; each member traces only its share, infers invariants
-    /// locally, and uploads them; shard workers merge the uploads into the
+    /// locally, and uploads them; the sharded store merges the uploads into the
     /// community-wide invariant database.
     ///
     /// Runs that fail or crash are discarded, so erroneous executions never contribute

@@ -42,7 +42,7 @@ use cv_runtime::{
     EnvConfig, Failure, HookId, ManagedExecutionEnvironment, MonitorConfig, RunStatus,
     SharedProgram,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 #[cfg(test)]
 use crate::scheduler::EpochScheduler;
@@ -380,30 +380,25 @@ impl EventEngine {
 
     /// Apply a shard-merged patch plan to every up member: one successor-config
     /// computation per distinct live configuration, one `u32` store per member.
+    /// Config ids are dense indices into the table, so the successor memo and the
+    /// live set are arrays indexed by id.
     pub(crate) fn apply_plan(&mut self, plan: &PatchPlan) {
         if plan.is_empty() {
             return;
         }
-        let mut successors: HashMap<ConfigId, ConfigId> = HashMap::new();
-        for i in 0..self.slots.len() {
-            if !self.slots[i].alive {
-                continue;
-            }
-            let from = self.slots[i].config;
-            let to = match successors.get(&from) {
-                Some(to) => *to,
-                None => {
-                    let to = self.table.successor(from, plan);
-                    successors.insert(from, to);
-                    to
-                }
-            };
-            self.slots[i].config = to;
+        let mut successors: Vec<Option<ConfigId>> = vec![None; self.table.configs.len()];
+        for slot in self.slots.iter_mut().filter(|slot| slot.alive) {
+            let from = slot.config;
+            slot.config =
+                *successors[from as usize].get_or_insert_with(|| self.table.successor(from, plan));
         }
         // Retire materializations of configs no member holds any more.
-        let live: HashSet<ConfigId> = self.slots.iter().map(|s| s.config).collect();
+        let mut live = vec![false; self.table.configs.len()];
+        for slot in &self.slots {
+            live[slot.config as usize] = true;
+        }
         for scratch in &mut self.scratch {
-            scratch.retain(|id, _| live.contains(id));
+            scratch.retain(|id, _| live[*id as usize]);
         }
         #[cfg(test)]
         self.reference.apply_plan(plan);

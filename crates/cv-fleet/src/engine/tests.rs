@@ -7,6 +7,7 @@ use super::*;
 use cv_inference::Variable;
 use cv_isa::{Operand, Port, ProgramBuilder, Reg};
 use cv_patch::RepairStrategy;
+use std::collections::HashSet;
 
 /// `in ecx; mov ebx, ecx; out ebx; halt`, and the addresses of the `mov` and the `out`.
 fn program() -> (BinaryImage, Addr, Addr) {
@@ -150,6 +151,69 @@ fn an_install_over_an_installation_replaces_it() {
     assert_eq!(engine.table.units(engine.slots[0].config).len(), 2);
     for record in engine.run_epoch(&pages, &[out]) {
         assert_eq!(record.rendered, [1], "only the second clamp is installed");
+    }
+}
+
+/// A push maps every up member to `ConfigTable::successor` of the configuration it
+/// held — one lineage folding back onto its ancestor, one onto the empty
+/// configuration, one unchanged — and each worker then keeps exactly the
+/// materialisations of configurations some member still holds.
+#[test]
+fn a_push_moves_each_member_to_its_successor_and_retires_the_rest() {
+    let (image, mov, out) = program();
+    let mut engine = EventEngine::new(&image, MonitorConfig::full(), 8, 2);
+    engine.apply_plan(&plan([(out, checks(mov, out))]));
+    for node in [2, 3] {
+        engine.reset_and_apply(
+            node,
+            &plan([(out, checks(mov, out)), (mov, repair(mov, 9))]),
+        );
+    }
+    for node in [4, 5] {
+        engine.reset_and_apply(node, &plan([(mov, repair(mov, 1))]));
+    }
+    engine.reset_and_apply(6, &PatchPlan::new());
+    engine.crash(7);
+    let pages: Vec<Presentation> = (0..7).map(|node| Presentation::new(node, [0])).collect();
+    engine.run_epoch(&pages, &[out]);
+    let held_before: HashSet<ConfigId> = engine.slots.iter().map(|s| s.config).collect();
+    assert_eq!(
+        held_before.len(),
+        4,
+        "checks, checks + repair, repair, empty"
+    );
+
+    let push = plan([(mov, Directive::RemoveRepair)]);
+    let expected: Vec<ConfigId> = (0..8)
+        .map(|node| {
+            let slot = engine.slots[node];
+            if slot.alive {
+                engine.table.successor(slot.config, &push)
+            } else {
+                slot.config
+            }
+        })
+        .collect();
+    let materialised: Vec<HashSet<ConfigId>> = engine
+        .scratch
+        .iter()
+        .map(|scratch| scratch.keys().copied().collect())
+        .collect();
+    engine.apply_plan(&push);
+
+    let configs: Vec<ConfigId> = engine.slots.iter().map(|s| s.config).collect();
+    assert_eq!(configs, expected);
+    assert_eq!(
+        configs[2], configs[0],
+        "checks + repair folds back onto checks"
+    );
+    assert_eq!(configs[4], EMPTY_CONFIG, "repair alone folds onto empty");
+    let held: HashSet<ConfigId> = configs.iter().copied().collect();
+    for (worker, scratch) in engine.scratch.iter().enumerate() {
+        let kept: HashSet<ConfigId> = scratch.keys().copied().collect();
+        let still_held: HashSet<ConfigId> =
+            materialised[worker].intersection(&held).copied().collect();
+        assert_eq!(kept, still_held, "worker {worker}");
     }
 }
 

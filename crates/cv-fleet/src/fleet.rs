@@ -283,10 +283,65 @@ struct CachedDelta {
     encoded_bytes: u64,
 }
 
+/// The envelopes of one acked exchange and which of them their receivers have
+/// acked, indexed by `seq - first`: the exchange stamps the seqs itself, in input
+/// order, so they are contiguous.
+struct PendingAcks {
+    first: u64,
+    envelopes: Vec<Envelope>,
+    acked: Vec<bool>,
+    unacked: usize,
+}
+
+impl PendingAcks {
+    /// `envelopes`, stamped with the seqs `first, first + 1, …` in input order.
+    fn new(first: u64, mut envelopes: Vec<Envelope>) -> Self {
+        for (env, seq) in envelopes.iter_mut().zip(first..) {
+            env.seq = seq;
+        }
+        let count = envelopes.len();
+        PendingAcks {
+            first,
+            envelopes,
+            acked: vec![false; count],
+            unacked: count,
+        }
+    }
+
+    /// Retire the envelope `seq` names. An ack outside this exchange (another
+    /// exchange's seq) or for an envelope already acked is ignored.
+    fn ack(&mut self, seq: u64) {
+        let index = seq
+            .checked_sub(self.first)
+            .and_then(|index| usize::try_from(index).ok());
+        if let Some(acked) = index.and_then(|index| self.acked.get_mut(index)) {
+            if !*acked {
+                *acked = true;
+                self.unacked -= 1;
+            }
+        }
+    }
+
+    /// The envelopes still unacked, in seq order.
+    fn unacked(&self) -> impl Iterator<Item = &Envelope> {
+        self.envelopes
+            .iter()
+            .zip(&self.acked)
+            .filter(|(_, &acked)| !acked)
+            .map(|(env, _)| env)
+    }
+
+    /// Ascending indices into the input of the envelopes that were acked.
+    fn acked_indices(&self) -> Vec<usize> {
+        (0..self.acked.len()).filter(|&i| self.acked[i]).collect()
+    }
+}
+
 /// What one reliable exchange produced.
 struct ExchangeOutcome {
-    /// Seqs whose envelope was acked by its receiver.
-    acked: BTreeSet<u64>,
+    /// Ascending indices into the exchange's input of the envelopes their
+    /// receivers acked.
+    acked: Vec<usize>,
     /// Fresh data envelopes delivered to the coordinator, in seq order.
     received: Vec<Envelope>,
 }
@@ -571,103 +626,91 @@ impl Fleet {
         seq
     }
 
-    /// Drain every inbox involved in an exchange once: acks retire their
-    /// pending envelope; data envelopes are acked (fresh and duplicate alike —
-    /// the earlier ack may have been lost) and, when addressed to the
-    /// coordinator and fresh, collected for the caller. Envelopes from other
-    /// epochs are stale stragglers and are dropped silently.
+    /// Drain every inbox involved in an exchange once, through the one `inbox`
+    /// buffer: acks retire their pending envelope; data envelopes are acked (fresh
+    /// and duplicate alike — the earlier ack may have been lost) and, when
+    /// addressed to the coordinator and fresh, collected for the caller.
+    /// Envelopes from other epochs are stale stragglers and are dropped silently.
     fn pump_protocol(
         &mut self,
         epoch: u64,
-        pending: &mut BTreeMap<u64, Envelope>,
-        acked: &mut BTreeSet<u64>,
+        pending: &mut PendingAcks,
         received: &mut Vec<Envelope>,
-        peers: &BTreeSet<PeerId>,
+        peers: &[PeerId],
+        inbox: &mut Vec<Envelope>,
     ) {
-        for env in self.transport.recv(COORDINATOR) {
-            if env.epoch != epoch {
-                continue;
-            }
-            match env.payload {
-                EnvelopePayload::Ack => {
-                    if pending.remove(&env.seq).is_some() {
-                        acked.insert(env.seq);
-                    }
-                }
-                _ => {
-                    let fresh = self.dedupe.accept(&env);
-                    self.transport.send(env.ack());
-                    if fresh {
-                        received.push(env);
-                    }
-                }
-            }
-        }
-        for &peer in peers {
-            for env in self.transport.recv(peer) {
+        for &peer in std::iter::once(&COORDINATOR).chain(peers) {
+            self.transport.recv_into(peer, inbox);
+            for env in inbox.drain(..) {
                 if env.epoch != epoch {
                     continue;
                 }
-                match env.payload {
-                    EnvelopePayload::Ack => {
-                        if pending.remove(&env.seq).is_some() {
-                            acked.insert(env.seq);
-                        }
-                    }
-                    _ => {
-                        self.dedupe.accept(&env);
-                        self.transport.send(env.ack());
-                    }
+                if matches!(env.payload, EnvelopePayload::Ack) {
+                    pending.ack(env.seq);
+                    continue;
+                }
+                let fresh = self.dedupe.accept(&env);
+                self.transport.send(env.ack());
+                if fresh && peer == COORDINATOR {
+                    received.push(env);
                 }
             }
         }
     }
 
-    /// Deliver every envelope in `pending` reliably: send, collect acks,
-    /// retransmit the unacked with capped exponential backoff. Gives up after
-    /// [`MAX_RETRANSMIT_ROUNDS`] — unreachable (partitioned) receivers simply
-    /// stay unacked and the caller decides what that means.
-    fn exchange(&mut self, epoch: u64, mut pending: BTreeMap<u64, Envelope>) -> ExchangeOutcome {
-        // Every non-root endpoint an envelope touches needs its inbox pumped:
-        // the member end of each pending envelope, plus any tier-coordinator
-        // origin (members ack back to the tier peer that served them, so the
-        // tier peer's inbox is where those acks land).
-        let mut peers: BTreeSet<PeerId> = BTreeSet::new();
-        for env in pending.values() {
-            peers.insert(if is_coordinator_side(env.to) {
+    /// Deliver `envelopes` reliably: stamp their seqs in input order, send, collect
+    /// acks, retransmit the unacked in seq order with capped exponential backoff.
+    /// Gives up after [`MAX_RETRANSMIT_ROUNDS`] — unreachable (partitioned)
+    /// receivers simply stay unacked and the caller decides what that means.
+    fn exchange(&mut self, epoch: u64, envelopes: Vec<Envelope>) -> ExchangeOutcome {
+        let first = self.seq;
+        self.seq += envelopes.len() as u64;
+        let mut pending = PendingAcks::new(first, envelopes);
+        // Every non-root endpoint an envelope touches needs its inbox pumped, in
+        // ascending id: the member end of each envelope, plus any tier-coordinator
+        // origin (members ack back to the tier peer that served them, so the tier
+        // peer's inbox is where those acks land).
+        let mut peers: Vec<PeerId> = Vec::with_capacity(pending.envelopes.len());
+        for env in &pending.envelopes {
+            peers.push(if is_coordinator_side(env.to) {
                 env.from
             } else {
                 env.to
             });
             if is_coordinator_side(env.from) && env.from != COORDINATOR {
-                peers.insert(env.from);
+                peers.push(env.from);
             }
         }
-        let mut acked = BTreeSet::new();
+        peers.sort_unstable();
+        peers.dedup();
         let mut received = Vec::new();
+        let mut inbox = Vec::new();
         let flush = self.transport.flush_ticks().max(1);
         let mut backoff = 1u32;
         let mut round = 0u32;
         loop {
-            self.pump_protocol(epoch, &mut pending, &mut acked, &mut received, &peers);
-            if pending.is_empty() || round >= MAX_RETRANSMIT_ROUNDS {
+            self.pump_protocol(epoch, &mut pending, &mut received, &peers, &mut inbox);
+            if pending.unacked == 0 || round >= MAX_RETRANSMIT_ROUNDS {
                 break;
             }
             if round > 0 {
-                self.retransmits_pending += pending.len() as u64;
+                self.retransmits_pending += pending.unacked as u64;
             }
-            for env in pending.values() {
+            for env in pending.unacked() {
                 self.transport.send(env.clone());
             }
             for _ in 0..flush.max(backoff) {
                 self.transport.tick();
-                self.pump_protocol(epoch, &mut pending, &mut acked, &mut received, &peers);
+                self.pump_protocol(epoch, &mut pending, &mut received, &peers, &mut inbox);
             }
             backoff = (backoff * 2).min(MAX_BACKOFF_TICKS);
             round += 1;
         }
         received.sort_by_key(|env| env.seq);
-        ExchangeOutcome { acked, received }
+        ExchangeOutcome {
+            acked: pending.acked_indices(),
+            received,
+        }
     }
 
     /// Send the epoch's presentations through the transport and reconstruct,
@@ -717,40 +760,29 @@ impl Fleet {
         arrived.into_iter().map(|(_, p)| p).collect()
     }
 
-    /// Push `plan` to every alive member as acked, idempotent envelopes.
-    /// Returns the members that acknowledged, in node order — everyone, on a
-    /// lossless transport. An empty plan sends nothing (there is no state to
-    /// miss) and counts everyone as reached.
+    /// Push a non-empty `plan` to every alive member as acked, idempotent
+    /// envelopes. Returns the members that acknowledged, in node order — everyone,
+    /// on a lossless transport.
     fn push_plan_over_transport(&mut self, epoch: u64, plan: &PatchPlan) -> Vec<NodeId> {
         let alive: Vec<NodeId> = (0..self.node_count())
             .filter(|&node| self.engine.is_alive(node))
             .collect();
-        if plan.is_empty() || alive.is_empty() {
+        if alive.is_empty() {
             return alive;
         }
         let shared = Arc::new(plan.clone());
-        let mut pending: BTreeMap<u64, Envelope> = BTreeMap::new();
-        let mut node_of: BTreeMap<u64, NodeId> = BTreeMap::new();
-        for &node in &alive {
-            let seq = self.next_seq();
-            node_of.insert(seq, node);
-            pending.insert(
-                seq,
-                Envelope {
-                    from: COORDINATOR,
-                    to: node as PeerId,
-                    epoch,
-                    seq,
-                    payload: EnvelopePayload::PatchPush(Arc::clone(&shared)),
-                },
-            );
-        }
-        let outcome = self.exchange(epoch, pending);
-        outcome
-            .acked
+        let envelopes = alive
             .iter()
-            .filter_map(|seq| node_of.get(seq).copied())
-            .collect()
+            .map(|&node| Envelope {
+                from: COORDINATOR,
+                to: node as PeerId,
+                epoch,
+                seq: 0, // stamped by `exchange`
+                payload: EnvelopePayload::PatchPush(Arc::clone(&shared)),
+            })
+            .collect();
+        let outcome = self.exchange(epoch, envelopes);
+        outcome.acked.into_iter().map(|i| alive[i]).collect()
     }
 
     /// Re-sync members the transport desynced, over the transport itself: a
@@ -798,36 +830,36 @@ impl Fleet {
                 delta_encoded.insert(base_epoch, Arc::new(delta.encode()));
             }
         }
-        let mut pending: BTreeMap<u64, Envelope> = BTreeMap::new();
-        let mut sync_of: BTreeMap<u64, (NodeId, Option<(u64, u64)>)> = BTreeMap::new();
+        // `delta_info[i]` says what `members[i]` is sent: a delta from a base
+        // epoch (and its size), or the full snapshot.
+        let mut delta_info: Vec<Option<(u64, u64)>> = Vec::with_capacity(members.len());
+        let mut envelopes = Vec::with_capacity(members.len());
         for &node in &members {
             let base_epoch = self.member_base[node];
-            let seq = self.next_seq();
-            let (payload, delta_info) = match delta_encoded.get(&base_epoch) {
-                Some(bytes) => (
+            let payload = match delta_encoded.get(&base_epoch) {
+                Some(bytes) => {
+                    delta_info.push(Some((base_epoch, bytes.len() as u64)));
                     EnvelopePayload::Delta {
                         base_epoch,
                         bytes: Arc::clone(bytes),
-                    },
-                    Some((base_epoch, bytes.len() as u64)),
-                ),
-                None => (EnvelopePayload::Snapshot(Arc::clone(&full_encoded)), None),
+                    }
+                }
+                None => {
+                    delta_info.push(None);
+                    EnvelopePayload::Snapshot(Arc::clone(&full_encoded))
+                }
             };
-            sync_of.insert(seq, (node, delta_info));
-            pending.insert(
-                seq,
-                Envelope {
-                    from: src_peer,
-                    to: node as PeerId,
-                    epoch,
-                    seq,
-                    payload,
-                },
-            );
+            envelopes.push(Envelope {
+                from: src_peer,
+                to: node as PeerId,
+                epoch,
+                seq: 0, // stamped by `exchange`
+                payload,
+            });
         }
-        let outcome = self.exchange(epoch, pending);
-        for seq in outcome.acked {
-            let (node, delta_info) = sync_of[&seq];
+        let outcome = self.exchange(epoch, envelopes);
+        for i in outcome.acked {
+            let (node, delta_info) = (members[i], delta_info[i]);
             self.engine.reset_and_apply(node, &net_plan);
             self.synced[node] = true;
             self.transport_desynced.remove(&node);
@@ -1479,8 +1511,9 @@ impl Fleet {
 
     /// Amortized parallel learning (Section 3.1): the learning pages are divided among
     /// the members round-robin; each member traces only its share and uploads its
-    /// locally inferred invariants; shard workers merge the uploads in parallel; the
-    /// fused snapshot becomes the community model. Erroneous runs never contribute.
+    /// locally inferred invariants; the sharded store merges the uploads in one
+    /// routed scan each; the fused snapshot becomes the community model. Erroneous
+    /// runs never contribute.
     pub fn distributed_learning(&mut self, pages: &[Vec<Word>]) {
         let span = recorder()
             .span("fleet.learning", "fleet")
@@ -1497,25 +1530,23 @@ impl Fleet {
         // sequence order — which is exactly the engines' return order, so a
         // lossless run merges byte-identically to the pre-transport fleet.
         let epoch = self.epoch;
-        let mut pending: BTreeMap<u64, Envelope> = BTreeMap::new();
-        for (node, local) in locals {
-            let procs: Vec<Addr> = local.procedures.procedures().map(|p| p.entry).collect();
-            let seq = self.next_seq();
-            pending.insert(
-                seq,
+        let envelopes = locals
+            .into_iter()
+            .map(|(node, local)| {
+                let procs: Vec<Addr> = local.procedures.procedures().map(|p| p.entry).collect();
                 Envelope {
                     from: node as PeerId,
                     to: COORDINATOR,
                     epoch,
-                    seq,
+                    seq: 0, // stamped by `exchange`
                     payload: EnvelopePayload::Upload {
                         invariants: Arc::new(local.invariants),
                         procs: Arc::new(procs),
                     },
-                },
-            );
-        }
-        let uploads_in = self.exchange(epoch, pending).received;
+                }
+            })
+            .collect();
+        let uploads_in = self.exchange(epoch, envelopes).received;
         let mut databases = Vec::with_capacity(uploads_in.len());
         let mut upload_lens: BTreeMap<NodeId, usize> = BTreeMap::new();
         for env in uploads_in {
@@ -1786,8 +1817,16 @@ impl Fleet {
         // The plan reaches members as acked, idempotent envelopes; the engine
         // then applies it once, fleet-wide. The engines share patch state
         // across members, so per-member application is expressed as this
-        // global apply plus a rollback of whoever provably missed the push.
-        let acked = self.push_plan_over_transport(epoch, &plan);
+        // global apply plus a rollback of whoever provably missed the push. An
+        // empty plan sends nothing (there is no state to miss) and counts every
+        // alive member as reached.
+        let (acked, reached) = if plan.is_empty() {
+            (Vec::new(), self.alive_count())
+        } else {
+            let acked = self.push_plan_over_transport(epoch, &plan);
+            let reached = acked.len();
+            (acked, reached)
+        };
         self.engine.apply_plan(&plan);
         let push_elapsed = push_span.finish();
         if let Some(net_before) = net_before {
@@ -1839,7 +1878,7 @@ impl Fleet {
             }
             self.record(MetricEvent::PatchPush {
                 pushes: plan.len() as u64,
-                members: acked.len() as u64,
+                members: reached as u64,
                 elapsed: push_elapsed,
             });
             if self.tree_fanout >= 2 {
@@ -1868,7 +1907,7 @@ impl Fleet {
         }
         self.log.push(FleetMessage::PatchPushes {
             epoch,
-            members: acked.len(),
+            members: reached,
             plan,
         });
 
@@ -2055,6 +2094,7 @@ fn process_timed(
 mod tests {
     use super::*;
     use cv_isa::MemoryLayout;
+    use proptest::prelude::*;
 
     fn tiny_image() -> BinaryImage {
         let layout = MemoryLayout::default();
@@ -2101,5 +2141,55 @@ mod tests {
             FleetConfig::new(4).with_manager_shards(0),
         );
         assert_eq!(fleet.manager_shard_count(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The seq-indexed pending set answers every ack stream — in range, past
+        /// the end, repeated, or stale from an earlier exchange (below `first`) —
+        /// as the map of pending envelopes plus set of acked seqs it replaced: the
+        /// same unacked count and resend order after every ack, and the same
+        /// acked list at the end.
+        #[test]
+        fn pending_acks_match_a_map_and_set_model(
+            first in 8u64..1_000,
+            count in 0usize..24,
+            offsets in prop::collection::vec(-8i64..32, 0..64),
+        ) {
+            let envelopes: Vec<Envelope> = (0..count)
+                .map(|node| Envelope {
+                    from: COORDINATOR,
+                    to: node as PeerId,
+                    epoch: 1,
+                    seq: 0,
+                    payload: EnvelopePayload::Page(vec![node as Word]),
+                })
+                .collect();
+            let mut pending = PendingAcks::new(first, envelopes.clone());
+            let mut model: BTreeMap<u64, Envelope> = (first..)
+                .zip(envelopes)
+                .map(|(seq, mut env)| {
+                    env.seq = seq;
+                    (seq, env)
+                })
+                .collect();
+            let mut acked: BTreeSet<u64> = BTreeSet::new();
+            for offset in offsets {
+                let seq = first.checked_add_signed(offset).expect("first >= 8");
+                pending.ack(seq);
+                if model.remove(&seq).is_some() {
+                    acked.insert(seq);
+                }
+                prop_assert_eq!(pending.unacked, model.len());
+                let resend: Vec<(u64, PeerId)> =
+                    pending.unacked().map(|env| (env.seq, env.to)).collect();
+                let expected: Vec<(u64, PeerId)> =
+                    model.values().map(|env| (env.seq, env.to)).collect();
+                prop_assert_eq!(resend, expected);
+            }
+            let expected: Vec<usize> = acked.iter().map(|seq| (seq - first) as usize).collect();
+            prop_assert_eq!(pending.acked_indices(), expected);
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! the same protocol engineered for thousands of simulated members:
 //!
 //! * [`ShardedInvariantStore`] (`shard.rs`) — the community invariant database
-//!   partitioned by check-address shard, so member uploads merge in parallel, one
-//!   worker per shard, with a result identical to the sequential merge.
+//!   partitioned by check-address shard; member uploads merge in one routed scan
+//!   each, with a result identical to the sequential merge, and the partition keys
+//!   the dirty tracking that delta checkpoints are cut from.
 //! * [`EventEngine`] (`engine.rs`) — the member-execution engine: execution
 //!   batched into epochs and fanned out across worker threads over **one shared
 //!   read-only program image** per fleet; a member is an 8-byte slot (an

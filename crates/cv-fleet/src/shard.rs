@@ -5,20 +5,17 @@
 //! merged (Section 3.1 of the paper). A monolithic database serializes those merges.
 //! [`ShardedInvariantStore`] partitions the database by check-address shard
 //! ([`InvariantDatabase::shard_of`]): each shard owns a disjoint set of check
-//! addresses, so N shard workers can merge the *same* sequence of uploads in parallel
-//! — each restricted to its own addresses — without locks, and the fused result is
+//! addresses. A batch of uploads merges in one pass on the calling thread
+//! ([`InvariantDatabase::merge_into_shards_observed`]): each upload is scanned once and
+//! every address entry routed straight to its owning shard, so the fused result is
 //! bit-identical to the sequential merge (`tests/shard_parity.rs` proves this against
-//! the seed's `InvariantDatabase::merge`).
-//!
-//! The fan-out only pays when threads can actually overlap and the batch is large
-//! enough to amortize the spawns *and* the per-shard re-scan of every upload: below
-//! that, [`ShardedInvariantStore::merge_uploads`] falls back to an inline
-//! single-scan merge ([`InvariantDatabase::merge_into_shards`]) with monolithic
-//! cost — the fix for the `merge_sharded_parallel_seconds` regression recorded in
-//! `BENCH_fleet.json` on single-core machines.
+//! the seed's `InvariantDatabase::merge`). The partition is what the routing, the
+//! dirty tracking and the deltas below are keyed by. A learning round's whole batch
+//! merges in a fraction of a millisecond, less than a thread per shard took for the
+//! same batch on a 2-vCPU machine, so the merge spawns no threads.
 //!
 //! **Dirty-epoch tracking.** The store is also where the persistence plane learns
-//! what changed: every merge path reports the entries it actually modified (the
+//! what changed: the merge reports the entries it actually modified (the
 //! `_observed` merge primitives), and the store stamps them — per shard, per epoch
 //! — into an embedded [`DirtyEpochs`] tracker. [`ShardedInvariantStore::dirty_since`]
 //! then answers "what may differ from the epoch-B checkpoint?" in O(changed),
@@ -30,12 +27,6 @@
 use cv_inference::{DirtyEpochs, DirtySet, InvariantDatabase};
 use cv_isa::Addr;
 
-/// Minimum invariants across an upload batch before a parallel merge spawns shard
-/// threads. Below this, per-shard work is microseconds and the spawns (plus each
-/// shard re-scanning every upload) cost more than they save — the same inline
-/// threshold reasoning as the manager plane's `MIN_PARALLEL_MANAGER_EVENTS`.
-const MIN_PARALLEL_MERGE_INVARIANTS: usize = 512;
-
 /// A community invariant database partitioned by check-address shard.
 #[derive(Debug, Clone)]
 pub struct ShardedInvariantStore {
@@ -43,10 +34,6 @@ pub struct ShardedInvariantStore {
     /// The dirty-epoch plane: which addresses each epoch's merges actually
     /// changed, per shard, plus procedure discoveries and plan-touched shards.
     dirty: DirtyEpochs,
-    /// Upload batches merged via the parallel per-shard fan-out.
-    parallel_merges: u64,
-    /// Upload batches merged via the inline single-scan fallback.
-    inline_merges: u64,
 }
 
 impl ShardedInvariantStore {
@@ -56,8 +43,6 @@ impl ShardedInvariantStore {
         ShardedInvariantStore {
             shards: vec![InvariantDatabase::new(); shard_count.max(1)],
             dirty: DirtyEpochs::new(shard_count.max(1), 0),
-            parallel_merges: 0,
-            inline_merges: 0,
         }
     }
 
@@ -69,30 +54,12 @@ impl ShardedInvariantStore {
         ShardedInvariantStore {
             shards: db.split(shard_count.max(1)),
             dirty: DirtyEpochs::new(shard_count.max(1), u64::MAX),
-            parallel_merges: 0,
-            inline_merges: 0,
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Worker threads a parallel merge would use: one per shard, capped at the
-    /// machine's available parallelism. On a single-core machine this is 1 and every
-    /// merge takes the inline fallback.
-    pub fn worker_count(&self) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.shards.len().min(cores)
-    }
-
-    /// `(parallel, inline)` upload-batch merge counts — which path
-    /// [`ShardedInvariantStore::merge_uploads`] actually took.
-    pub fn merge_counts(&self) -> (u64, u64) {
-        (self.parallel_merges, self.inline_merges)
     }
 
     /// Total number of invariants across all shards.
@@ -150,78 +117,25 @@ impl ShardedInvariantStore {
         self.dirty.dirty_since(base_epoch)
     }
 
-    /// Merge member uploads into the store — one worker thread per shard when the
-    /// fan-out can pay for itself, otherwise an inline single-scan merge.
-    ///
-    /// In the parallel path every shard scans every upload but merges only the
-    /// invariants whose check address it owns; each upload's run counters are
-    /// absorbed exactly once. Upload order is preserved per address, so the result
+    /// Merge member uploads into the store in one scan of each upload, every
+    /// address entry routed to the shard that owns it, and stamp the entries the
+    /// merges actually changed into the dirty plane. Upload order is preserved per
+    /// address and each upload's run counters are absorbed once, so the result
     /// equals merging the uploads sequentially into a monolithic database.
-    ///
-    /// The fan-out is skipped — falling back to the monolithic-cost inline merge —
-    /// when [`ShardedInvariantStore::worker_count`] is 1 (threads cannot overlap) or
-    /// the batch carries fewer than [`MIN_PARALLEL_MERGE_INVARIANTS`] invariants
-    /// (spawns and the per-shard re-scan of every upload dominate). Both paths
-    /// produce identical shards and stamp identical dirty sets.
     pub fn merge_uploads(&mut self, uploads: &[InvariantDatabase]) {
-        let batch: usize = uploads.iter().map(|u| u.len()).sum();
-        let fan_out = self.shards.len() > 1
-            && self.worker_count() > 1
-            && batch >= MIN_PARALLEL_MERGE_INVARIANTS;
-        self.merge_uploads_inner(uploads, fan_out);
-    }
-
-    /// Single-threaded variant of [`ShardedInvariantStore::merge_uploads`] (the
-    /// sequential baseline of the `fleet_scale` benchmark). Always takes the inline
-    /// single-scan merge.
-    pub fn merge_uploads_sequential(&mut self, uploads: &[InvariantDatabase]) {
-        self.merge_uploads_inner(uploads, false);
-    }
-
-    fn merge_uploads_inner(&mut self, uploads: &[InvariantDatabase], parallel: bool) {
         if uploads.is_empty() {
             return;
         }
-        let shard_count = self.shards.len();
-        if parallel && shard_count > 1 {
-            self.parallel_merges += 1;
-            // Each worker returns the addresses its shard actually changed; the
-            // dirty stamps land single-threaded after the scope so the tracker
-            // needs no locking.
-            let changed: Vec<Vec<Addr>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(index, shard)| {
-                        scope.spawn(move || merge_one_shard(shard, index, shard_count, uploads))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard merge worker panicked"))
-                    .collect()
-            });
-            for (shard, addrs) in changed.into_iter().enumerate() {
-                for addr in addrs {
-                    self.dirty.mark_in_shard(shard, addr);
-                }
-            }
-        } else {
-            // Monolithic fallback: each upload is scanned once, every address entry
-            // routed straight to its owning shard — no per-shard re-scan, no spawns.
-            self.inline_merges += 1;
-            let dirty = &mut self.dirty;
-            for upload in uploads {
-                InvariantDatabase::merge_into_shards_observed(
-                    &mut self.shards,
-                    upload,
-                    |shard, addr| dirty.mark_in_shard(shard, addr),
-                );
-            }
-            for shard in &mut self.shards {
-                shard.recount();
-            }
+        let dirty = &mut self.dirty;
+        for upload in uploads {
+            InvariantDatabase::merge_into_shards_observed(
+                &mut self.shards,
+                upload,
+                |shard, addr| dirty.mark_in_shard(shard, addr),
+            );
+        }
+        for shard in &mut self.shards {
+            shard.recount();
         }
         for upload in uploads {
             self.shards[0].absorb_run_stats(&upload.stats);
@@ -234,36 +148,6 @@ impl ShardedInvariantStore {
     pub fn snapshot(&self) -> InvariantDatabase {
         InvariantDatabase::fuse(self.shards.iter().cloned())
     }
-
-    /// Force the threaded fan-out regardless of core count or batch size, so tests
-    /// prove both paths identical even on single-core machines.
-    #[cfg(test)]
-    fn merge_uploads_forced_parallel(&mut self, uploads: &[InvariantDatabase]) {
-        self.merge_uploads_inner(uploads, true);
-    }
-}
-
-/// Merge every upload's invariants owned by shard `index` (the shared per-shard
-/// implementation of both merge paths), returning the addresses the merges
-/// actually changed (ascending, deduplicated — ready for dirty stamping).
-fn merge_one_shard(
-    shard: &mut InvariantDatabase,
-    index: usize,
-    shard_count: usize,
-    uploads: &[InvariantDatabase],
-) -> Vec<Addr> {
-    let mut changed = std::collections::BTreeSet::new();
-    for upload in uploads {
-        shard.merge_filtered_observed(
-            upload,
-            |addr| InvariantDatabase::shard_of(addr, shard_count) == index,
-            |addr| {
-                changed.insert(addr);
-            },
-        );
-    }
-    shard.recount();
-    changed.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -293,61 +177,43 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_equals_sequential_monolithic_merge() {
-        let uploads: Vec<_> = (0..8).map(upload).collect();
-
-        let mut reference = InvariantDatabase::new();
-        for up in &uploads {
-            reference.merge(up);
-        }
-
-        for shard_count in [1, 2, 5, 16] {
-            let mut store = ShardedInvariantStore::new(shard_count);
-            store.merge_uploads(&uploads);
-            assert_eq!(
-                store.snapshot(),
-                reference,
-                "shard_count={shard_count} diverged from the sequential merge"
-            );
-            assert_eq!(store.len(), reference.len());
-
-            // The threaded fan-out must agree with whatever path merge_uploads took
-            // on this machine, even when forced on a single core — and stamp the
-            // identical dirty set.
-            let mut forced = ShardedInvariantStore::new(shard_count);
-            forced.merge_uploads_forced_parallel(&uploads);
-            assert_eq!(forced.snapshot(), reference);
-            assert_eq!(
-                forced.dirty_since(0),
-                store.dirty_since(0),
-                "both merge paths must stamp the same dirty set"
-            );
-        }
-    }
-
-    #[test]
-    fn small_batches_take_the_inline_fallback() {
-        // One upload is far below MIN_PARALLEL_MERGE_INVARIANTS, so even a
-        // many-shard store on a many-core machine must merge inline.
-        let mut small = InvariantDatabase::new();
-        small.insert(Invariant::LowerBound {
+    fn sharded_merge_equals_sequential_monolithic_merge() {
+        let mut single = InvariantDatabase::new();
+        single.insert(Invariant::LowerBound {
             var: Variable::read(0x1000, 0, Operand::Reg(Reg::Ecx)),
             min: 1,
         });
-        small.recount();
-        let mut store = ShardedInvariantStore::new(8);
-        store.merge_uploads(std::slice::from_ref(&small));
-        assert_eq!(store.merge_counts(), (0, 1));
-        assert_eq!(store.snapshot().len(), 1);
+        single.recount();
+        let batches = [vec![single], (0..8).map(upload).collect::<Vec<_>>()];
 
-        // A single-shard store can never fan out either.
-        let uploads: Vec<_> = (0..8).map(upload).collect();
-        let mut store = ShardedInvariantStore::new(1);
-        store.merge_uploads(&uploads);
-        let (parallel, inline) = store.merge_counts();
-        assert_eq!(parallel, 0);
-        assert_eq!(inline, 1);
-        assert!(store.worker_count() >= 1);
+        for uploads in &batches {
+            let mut reference = InvariantDatabase::new();
+            for up in uploads {
+                reference.merge(up);
+            }
+            for shard_count in [1, 2, 5, 16] {
+                let mut store = ShardedInvariantStore::new(shard_count);
+                store.merge_uploads(uploads);
+                assert_eq!(
+                    store.snapshot(),
+                    reference,
+                    "shard_count={shard_count} diverged from the sequential merge"
+                );
+                assert_eq!(store.len(), reference.len());
+
+                // On a fresh store every address the merge created is stamped
+                // dirty, in the shard that owns it.
+                let dirty = store.dirty_since(0).expect("a fresh store covers epoch 0");
+                for (index, shard) in store.shards().iter().enumerate() {
+                    let mut held: Vec<Addr> = shard.addrs().collect();
+                    held.sort_unstable();
+                    assert_eq!(
+                        dirty.per_shard[index], held,
+                        "shard {index} of {shard_count}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

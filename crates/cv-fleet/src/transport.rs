@@ -23,7 +23,12 @@
 //! Delivery is made reliable *above* the transport: receivers deduplicate by
 //! `(to, from, epoch, seq)` ([`DedupeWindow`], one hash insert per envelope)
 //! so retransmits and duplicates are no-ops, and senders retransmit unacked
-//! envelopes with capped exponential backoff. [`SequencedApplier`] is the
+//! envelopes, in seq order, with capped exponential backoff. The fleet's acked
+//! exchange stamps one exchange's envelopes with contiguous seqs, so its
+//! pending set is an array of ack flags indexed by `seq - first`, and it drains
+//! every inbox through [`Transport::recv_into`] into one buffer: a patch push to
+//! N members costs array operations and the envelopes, not map and set
+//! operations and an allocation per inbox. [`SequencedApplier`] is the
 //! executable model of that application layer — any permutation-with-duplicates
 //! of an envelope stream folds to the same invariant database and net patch plan
 //! as in-order exactly-once delivery (proven by proptest in

@@ -1,7 +1,7 @@
 //! Sharded-merge correctness against real learned uploads: merging N member uploads
-//! shard-by-shard in parallel must yield a database identical to the seed's
-//! sequential `InvariantDatabase::merge` (the satellite acceptance test for the
-//! sharded store).
+//! into a sharded store, each address entry routed to its shard, must yield a
+//! database identical to the seed's sequential `InvariantDatabase::merge` (the
+//! satellite acceptance test for the sharded store).
 
 use cv_apps::{learning_suite, Browser};
 use cv_fleet::ShardedInvariantStore;
