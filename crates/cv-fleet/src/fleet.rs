@@ -1830,10 +1830,10 @@ impl Fleet {
         self.engine.apply_plan(&plan);
         let push_elapsed = push_span.finish();
         if let Some(net_before) = net_before {
-            let acked_set: BTreeSet<NodeId> = acked.iter().copied().collect();
             let mut missed = 0u64;
             for node in 0..self.node_count() {
-                if !self.engine.is_alive(node) || acked_set.contains(&node) {
+                // `acked` is in ascending node order.
+                if !self.engine.is_alive(node) || acked.binary_search(&node).is_ok() {
                     continue;
                 }
                 if self.synced[node] {

@@ -212,10 +212,10 @@ impl InvariantDatabase {
 
     /// Merge only the invariants of `other` whose check address satisfies `keep`.
     ///
-    /// This is the primitive behind sharded community merges (`cv-fleet`): each shard
-    /// worker merges every member upload restricted to the addresses it owns, so N
-    /// shards can merge the same uploads in parallel without coordination and their
-    /// union is exactly the sequential [`InvariantDatabase::merge`] result.
+    /// Merging the same uploads into N shards, each restricted to the addresses it
+    /// owns, gives shards whose union is exactly the sequential
+    /// [`InvariantDatabase::merge`] result
+    /// ([`InvariantDatabase::merge_into_shards`] does that in one scan).
     ///
     /// Unlike [`InvariantDatabase::merge`] this does **not** touch the learning
     /// counters — callers accumulating across shards must account for `other.stats`
@@ -293,9 +293,9 @@ impl InvariantDatabase {
     /// Result-identical to every shard `i` running
     /// `merge_filtered(other, |addr| shard_of(addr, shards.len()) == i)`, but at
     /// monolithic cost: the per-shard formulation scans the whole upload once *per
-    /// shard*, which is pure overhead when the merge runs on one thread. This is the
-    /// inline fallback path of the fleet's sharded invariant store. Does not touch
-    /// learning counters (same contract as [`InvariantDatabase::merge_filtered`]).
+    /// shard*, which is pure overhead when the merge runs on one thread. This is how
+    /// the fleet's sharded invariant store merges. Does not touch learning counters
+    /// (same contract as [`InvariantDatabase::merge_filtered`]).
     pub fn merge_into_shards(shards: &mut [InvariantDatabase], other: &InvariantDatabase) {
         Self::merge_into_shards_observed(shards, other, |_, _| {});
     }
