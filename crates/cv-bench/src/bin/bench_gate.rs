@@ -62,8 +62,8 @@ struct Extracted {
 /// Extract every numeric value keyed by `key` from a (flat or nested) JSON text,
 /// in document order. This deliberately avoids a JSON dependency: the records
 /// are written by our own bins with `"key": number` shapes (plus the occasional
-/// explicit `null` sentinel, e.g. `manager_parallel_speedup` on a run with no
-/// parallel fan-out — those are skipped with a note, not treated as drift).
+/// explicit `null` sentinel for a value a run could not measure — those are
+/// skipped with a note, not treated as drift).
 fn extract(json: &str, key: &str) -> Extracted {
     let needle = format!("\"{key}\"");
     let mut out = Extracted::default();

@@ -256,23 +256,11 @@ fn merge_time(shards: usize, uploads: &[InvariantDatabase]) -> f64 {
 /// The outcome of one multi-failure manager run.
 struct MultiFailureRun {
     manager_ms_per_epoch: f64,
-    /// `None` when no manager fan-out ever ran on multiple threads — the
-    /// single-core / single-worker case, where there is no parallel section to
-    /// measure. Rendered as `-` in the table and `null` in the JSON record.
-    manager_parallel_speedup: Option<f64>,
     immune: usize,
     immunity_epochs: Vec<(u32, u64)>,
     /// The fleet's entire `BatchLog`, one record per line — timing-free, so two
     /// runs of the same scenario must produce byte-identical dumps.
     log: String,
-}
-
-/// Render a manager-parallel speedup cell: `-` when no parallel fan-out ran.
-fn speedup_cell(speedup: Option<f64>) -> String {
-    match speedup {
-        Some(s) => format!("{s:.2}x"),
-        None => "-".into(),
-    }
 }
 
 /// Dump a fleet's batched console log, one `FleetMessage` record per line.
@@ -326,7 +314,6 @@ fn multi_failure(browser: &Browser, model: &LearnedModel, config: FleetConfig) -
         .collect();
     MultiFailureRun {
         manager_ms_per_epoch: metrics.manager_ms_per_epoch(),
-        manager_parallel_speedup: metrics.manager_parallel_speedup(),
         immune: locations
             .iter()
             .filter(|(_, loc)| fleet.is_protected_against(*loc))
@@ -1137,7 +1124,6 @@ fn main() {
             "manager",
             "shards",
             "manager ms/epoch",
-            "manager-parallel speedup",
             "immune locations",
         ],
         &[
@@ -1145,14 +1131,12 @@ fn main() {
                 "sequential (seed shape)".into(),
                 "1".into(),
                 format!("{:.3}", seq_run.manager_ms_per_epoch),
-                speedup_cell(seq_run.manager_parallel_speedup),
                 format!("{}/{}", seq_run.immune, MULTI_FAILURE_TARGETS.len()),
             ],
             vec![
                 format!("sharded ({worker_label})"),
                 MANAGER_SHARDS.to_string(),
                 format!("{:.3}", par_run.manager_ms_per_epoch),
-                speedup_cell(par_run.manager_parallel_speedup),
                 format!("{}/{}", par_run.immune, MULTI_FAILURE_TARGETS.len()),
             ],
         ],
@@ -1167,8 +1151,7 @@ fn main() {
     };
     println!(
         "manager wall-clock vs sequential: {manager_wall_ratio:.2}x \
-         (expect ~1x on a single core; the manager-parallel speedup column is \
-         busy-time / fan-out wall time and is '-' when no parallel fan-out ran)"
+         (the manager pass runs its shards on the calling thread, so expect ~1x)"
     );
 
     if scheduling_speedup > 1.0 {
@@ -1277,10 +1260,6 @@ fn main() {
             Some(run) => format!(",\n  \"metrics\": {}", run.metrics.to_json("  ")),
             None => String::new(),
         };
-        let speedup_json = match par_run.manager_parallel_speedup {
-            Some(s) => format!("{s:.3}"),
-            None => "null".to_string(),
-        };
         // Per-metric multi-round statistics in the canonical cv-perf shape:
         // rate spreads carry their raw samples, execution-time spreads come
         // from the log2-µs histograms (bounded memory at any round count).
@@ -1292,7 +1271,7 @@ fn main() {
             MetricStats::from_histogram(&par_hist).to_json(),
         );
         let json = format!(
-            "{{\n  \"bench\": \"fleet_scale\",\n  \"nodes\": {},\n  \"workers\": {},\n  \"cores\": {cores},\n  \"epochs\": {},\n  \"rounds\": {},\n  \"warmups\": {warmups},\n  \"pages_per_second_sequential\": {seq_rate:.1},\n  \"pages_per_second_parallel\": {par_rate:.1},\n  \"scheduling_speedup\": {scheduling_speedup:.3},\n  \"merge_monolithic_seconds\": {mono:.4},\n  \"merge_sharded_parallel_seconds\": {sharded:.4},\n  \"manager_ms_per_epoch_sequential\": {:.4},\n  \"manager_ms_per_epoch_sharded\": {:.4},\n  \"manager_parallel_speedup\": {speedup_json},\n  \"manager_shards\": {MANAGER_SHARDS},\n  \"multi_failure_locations\": {},\n  \"immune_locations\": {},\n  \"time_to_immunity_epochs_max\": {max_immunity},\n  \"time_to_immunity_epochs\": {{ {} }}{churn_json}{metrics_json}{spread_json}\n}}\n",
+            "{{\n  \"bench\": \"fleet_scale\",\n  \"nodes\": {},\n  \"workers\": {},\n  \"cores\": {cores},\n  \"epochs\": {},\n  \"rounds\": {},\n  \"warmups\": {warmups},\n  \"pages_per_second_sequential\": {seq_rate:.1},\n  \"pages_per_second_parallel\": {par_rate:.1},\n  \"scheduling_speedup\": {scheduling_speedup:.3},\n  \"merge_monolithic_seconds\": {mono:.4},\n  \"merge_sharded_parallel_seconds\": {sharded:.4},\n  \"manager_ms_per_epoch_sequential\": {:.4},\n  \"manager_ms_per_epoch_sharded\": {:.4},\n  \"manager_shards\": {MANAGER_SHARDS},\n  \"multi_failure_locations\": {},\n  \"immune_locations\": {},\n  \"time_to_immunity_epochs_max\": {max_immunity},\n  \"time_to_immunity_epochs\": {{ {} }}{churn_json}{metrics_json}{spread_json}\n}}\n",
             opts.nodes,
             opts.workers,
             opts.epochs,

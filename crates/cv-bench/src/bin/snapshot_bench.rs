@@ -143,7 +143,7 @@ struct DeltaCutRow {
 /// mutation wave: the materialized `DeltaSnapshot::diff` (O(database), and the
 /// target snapshot it needs is generously pre-materialized outside the timer)
 /// vs. the dirty-epoch `DeltaBuilder` cut (O(changed); the timer includes the
-/// `dirty_since` query — the whole real path). Byte-identity of the two is
+/// builder's `dirty_since` query — the whole real path). Byte-identity of the two is
 /// asserted every round, so this bench doubles as a release-mode regression
 /// check.
 fn delta_cut(target_invariants: usize) -> DeltaCutRow {
@@ -193,13 +193,12 @@ fn delta_cut(target_invariants: usize) -> DeltaCutRow {
 
     let start = Instant::now();
     for _ in 0..DELTA_ROUNDS {
-        let dirty = store.dirty_since(base.epoch).expect("base is covered");
-        std::hint::black_box(DeltaBuilder::new(&base, &dirty).cut(3, &fused, PatchPlan::new()));
+        let builder = DeltaBuilder::new(&base, store.dirty());
+        std::hint::black_box(builder.cut(3, &fused, [], PatchPlan::new()));
     }
     let incremental_us = start.elapsed().as_secs_f64() * 1e6 / DELTA_ROUNDS as f64;
 
-    let dirty = store.dirty_since(base.epoch).expect("base is covered");
-    let incremental = DeltaBuilder::new(&base, &dirty).cut(3, &fused, PatchPlan::new());
+    let incremental = DeltaBuilder::new(&base, store.dirty()).cut(3, &fused, [], PatchPlan::new());
     let diffed = DeltaSnapshot::diff(&base, &target);
     assert_eq!(
         incremental.encode(),

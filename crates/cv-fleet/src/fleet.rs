@@ -429,8 +429,8 @@ impl Fleet {
         // the restore has no mutation history to tell them apart (the live
         // coordinator's inclusive dirty_since(B) rule handles exactly this; a
         // restore cannot). Coverage therefore starts at the *next* epoch — same
-        // reasoning as set_model below — and bases at or before the restore
-        // label fall back to the materialized diff.
+        // reasoning as set_model below — and the cutter re-checks every address
+        // for bases at or before the restore label.
         fleet.store.reset_dirty(snapshot.epoch + 1);
         fleet.state_version += 1;
         let bootstrap = snapshot.bootstrap_plan();
@@ -915,13 +915,7 @@ impl Fleet {
         if !self.lossy {
             return;
         }
-        self.refresh_snapshot_cache();
-        let snapshot = self
-            .snapshot_cache
-            .as_ref()
-            .expect("cache just refreshed")
-            .snapshot
-            .clone();
+        let snapshot = self.refresh_snapshot_cache().snapshot.clone();
         self.retained.insert(epoch, snapshot);
         for node in 0..self.node_count() {
             if self.engine.is_alive(node) && self.synced[node] {
@@ -971,22 +965,30 @@ impl Fleet {
         });
     }
 
-    /// Memoize the coordinator's current snapshot for this epoch.
-    fn refresh_snapshot_cache(&mut self) {
-        if self.snapshot_cache.as_ref().map(|c| c.epoch) != Some(self.epoch) {
+    /// Memoize the coordinator's current snapshot for this epoch, and return it.
+    fn refresh_snapshot_cache(&mut self) -> &CachedSnapshot {
+        let epoch = self.epoch;
+        if self
+            .snapshot_cache
+            .as_ref()
+            .is_some_and(|c| c.epoch != epoch)
+        {
+            self.snapshot_cache = None;
+        }
+        self.snapshot_cache.get_or_insert_with(|| {
             let snapshot = Snapshot::capture(
-                self.epoch,
+                epoch,
                 self.store.shard_count() as u32,
                 &self.model,
                 &self.net,
             );
             let encoded = Arc::new(snapshot.encode());
-            self.snapshot_cache = Some(CachedSnapshot {
-                epoch: self.epoch,
+            CachedSnapshot {
+                epoch,
                 snapshot,
                 encoded,
-            });
-        }
+            }
+        })
     }
 
     /// Checkpoint the full protection state: the community invariant database, the
@@ -995,8 +997,7 @@ impl Fleet {
     /// joiner and delta of the same epoch shares it.
     pub fn checkpoint(&mut self) -> Snapshot {
         let span = recorder().span("fleet.checkpoint", "fleet");
-        self.refresh_snapshot_cache();
-        let cache = self.snapshot_cache.as_ref().expect("cache just refreshed");
+        let cache = self.refresh_snapshot_cache();
         let bytes = cache.encoded_bytes();
         let snapshot = cache.snapshot.clone();
         span.arg("fleet", self.obs_id)
@@ -1011,35 +1012,24 @@ impl Fleet {
     /// coordinator's current state — strictly smaller than a full snapshot when
     /// little has changed.
     ///
-    /// When the dirty-epoch plane covers the base (its epoch is at or after the
+    /// One [`DeltaBuilder`] cut, and no target snapshot is materialized. For a
+    /// base the store's dirty-epoch tracker covers (its epoch is at or after the
     /// tracker's floor — always, for a coordinator that has run since its last
-    /// wholesale state install), the delta is cut **incrementally** in
-    /// O(changed): only the addresses stamped dirty since the base are
-    /// re-compared, and no target snapshot is materialized. Bases older than the
-    /// floor fall back to the materialized [`DeltaSnapshot::diff`]. Both paths
-    /// produce byte-identical deltas (`tests/delta_incremental.rs`).
+    /// wholesale state install), only the addresses stamped dirty since the base
+    /// are re-compared, in O(changed). An older base re-compares every address.
+    /// Either way the delta is byte-identical to [`DeltaSnapshot::diff`]
+    /// (`tests/delta_incremental.rs`). Panics if the base's shard count is not
+    /// the store's.
     pub fn delta_since(&mut self, base: &Snapshot) -> DeltaSnapshot {
-        assert_eq!(
-            base.shard_count as usize,
-            self.store.shard_count(),
-            "base checkpoint and store must share one shard routing"
-        );
         let span = recorder().timed_span("fleet.delta_cut", "fleet");
-        let (delta, plan_shards, incremental) = match self.store.dirty_since(base.epoch) {
-            Some(dirty) => {
-                let delta = DeltaBuilder::new(base, &dirty).cut(
-                    self.epoch,
-                    &self.model.invariants,
-                    self.net.to_plan(),
-                );
-                (delta, dirty.plan_shards.len() as u64, true)
-            }
-            None => {
-                self.refresh_snapshot_cache();
-                let cache = self.snapshot_cache.as_ref().expect("cache just refreshed");
-                (DeltaSnapshot::diff(base, &cache.snapshot), 0, false)
-            }
-        };
+        let builder = DeltaBuilder::new(base, self.store.dirty());
+        let delta = builder.cut(
+            self.epoch,
+            &self.model.invariants,
+            self.model.procedures.procedures().map(|p| p.entry),
+            self.net.to_plan(),
+        );
+        let plan_shards = builder.plan_shards() as u64;
         let dirty_shards = delta.dirty_shard_count() as u64;
         // One measurement feeds both planes: the span the trace shows and the
         // elapsed time the metrics fold are the same clock reading.
@@ -1048,21 +1038,19 @@ impl Fleet {
             .arg("epoch", self.epoch)
             .arg("base_epoch", base.epoch)
             .arg("dirty_shards", dirty_shards)
-            .arg("incremental", incremental as u64)
             .finish();
         self.record(MetricEvent::DeltaCut {
             dirty_shards,
             plan_shards,
             elapsed,
-            incremental,
         });
         delta
     }
 
     /// Encoded size of the delta from `base` to the current state, memoized like
     /// the snapshot itself: a churn wave rejoins many members against the *same*
-    /// checkpoint, and the delta is identical for all of them — diffing and
-    /// re-encoding it per member would be O(members × database) for byte-identical
+    /// checkpoint, and the delta is identical for all of them — cutting and
+    /// re-encoding it per member would repeat the same work for byte-identical
     /// results. Coordinator checkpoints are identified by their epoch (one cut per
     /// epoch, see [`Fleet::refresh_snapshot_cache`]), so (base epoch, current
     /// epoch) keys the memo.
@@ -1077,13 +1065,12 @@ impl Fleet {
         let encoded_bytes = delta.encode().len() as u64;
         #[cfg(debug_assertions)]
         {
-            // The incremental cut must land members on exactly the coordinator's
-            // state — materialize it (debug builds only) and prove it.
-            self.refresh_snapshot_cache();
+            // The cut must land members on exactly the coordinator's state —
+            // materialize it (debug builds only) and prove it.
             let mut advanced = base.clone();
             assert!(
                 advanced.apply_delta(&delta).is_ok()
-                    && Some(&advanced) == self.snapshot_cache.as_ref().map(|c| &c.snapshot),
+                    && advanced == self.refresh_snapshot_cache().snapshot,
                 "base + delta must reproduce the coordinator's state"
             );
         }
@@ -1129,13 +1116,8 @@ impl Fleet {
             self.tier_sync = Some(plane);
             return;
         }
-        self.refresh_snapshot_cache();
-        let root_state = self
-            .snapshot_cache
-            .as_ref()
-            .expect("cache just refreshed")
-            .snapshot
-            .clone();
+        let cache = self.refresh_snapshot_cache();
+        let (root_state, root_bytes) = (cache.snapshot.clone(), cache.encoded_bytes());
         // A wholesale shard-routing change (a model swap with a different
         // shard count) makes deltas impossible — reseed the rows outright.
         if plane
@@ -1149,11 +1131,6 @@ impl Fleet {
         plane.resize(&specs, &root_state);
         if reseeded {
             // Seeding ships the full snapshot down the tree, once per row.
-            let bytes = self
-                .snapshot_cache
-                .as_ref()
-                .expect("cache just refreshed")
-                .encoded_bytes();
             for (tier, receivers) in plane
                 .rows()
                 .iter()
@@ -1162,7 +1139,7 @@ impl Fleet {
             {
                 self.record(MetricEvent::TierSync {
                     tier,
-                    bytes,
+                    bytes: root_bytes,
                     receivers,
                     delta: false,
                 });
@@ -1499,8 +1476,9 @@ impl Fleet {
             self.store.shard_count(),
         );
         // No checkpoint equals the new state — not even one cut at the current
-        // epoch before the swap — so incremental answers begin at the *next*
-        // epoch; bases at or before this one fall back to materialized diffs.
+        // epoch before the swap — so the tracker's answers begin at the *next*
+        // epoch; the cutter re-checks every address for bases at or before this
+        // one.
         self.store.reset_dirty(self.epoch + 1);
         self.model = model;
         self.snapshot_cache = None;
@@ -1954,11 +1932,7 @@ impl Fleet {
             execution,
             manager,
         });
-        self.record(MetricEvent::ManagerFanout {
-            shard_busy,
-            fanout,
-            ran_parallel: false,
-        });
+        self.record(MetricEvent::ManagerFanout { shard_busy, fanout });
         self.record(MetricEvent::MemberResidency {
             resident_bytes: self.engine.resident_state_bytes(),
             shared_bytes: self.engine.shared_state_bytes(),
@@ -2030,17 +2004,12 @@ impl SyncSource for Fleet {
     }
 
     fn snapshot_for(&mut self) -> SyncPayload {
-        self.refresh_snapshot_cache();
-        let cache = self.snapshot_cache.as_ref().expect("cache just refreshed");
+        let cache = self.refresh_snapshot_cache();
         SyncPayload {
             epoch: cache.epoch,
             plan: cache.snapshot.plan.clone(),
             encoded: Arc::clone(&cache.encoded),
         }
-    }
-
-    fn covered_floor(&self) -> u64 {
-        self.retained.keys().next().copied().unwrap_or(self.epoch)
     }
 }
 
@@ -2141,6 +2110,75 @@ mod tests {
             FleetConfig::new(4).with_manager_shards(0),
         );
         assert_eq!(fleet.manager_shard_count(), 1);
+    }
+
+    /// Which bases the store's dirty tracker covers, and so which cuts read
+    /// the dirty set rather than walk every address: every checkpoint a live
+    /// fleet hands out, through learning, churn, rejoins and joins; after a
+    /// restore, only bases cut after the restore's epoch.
+    #[test]
+    fn a_live_fleet_covers_its_checkpoints_and_a_restore_starts_after_its_label() {
+        use cv_apps::{learning_suite, red_team_exploits, Browser};
+
+        let browser = Browser::build();
+        let exploit = red_team_exploits(&browser)
+            .into_iter()
+            .find(|e| e.bugzilla == 290162)
+            .unwrap();
+        let mut fleet = Fleet::new(
+            browser.image.clone(),
+            ClearViewConfig::default(),
+            FleetConfig::new(8),
+        );
+        fleet.distributed_learning(&learning_suite()[..8]);
+        let mut bases = vec![fleet.checkpoint()];
+        let batch = [Presentation::new(0, exploit.page())];
+        fleet.run_epoch_churn(&batch, &[5, 6]);
+        bases.push(fleet.checkpoint());
+        fleet.apply_membership(MembershipOp::Rejoin {
+            node: 5,
+            checkpoint: Some(&bases[0]),
+        });
+        fleet.apply_membership(MembershipOp::Rejoin {
+            node: 6,
+            checkpoint: None,
+        });
+        fleet.apply_membership(MembershipOp::JoinWarm);
+        let cold = fleet.apply_membership(MembershipOp::JoinCold).nodes[0];
+        fleet.apply_membership(MembershipOp::Resync(cold));
+        fleet.run_epoch(&batch);
+        bases.push(fleet.checkpoint());
+        for base in &bases {
+            assert!(
+                fleet.store.dirty().covers(base.epoch),
+                "a live fleet covers all its own checkpoints (base epoch {})",
+                base.epoch
+            );
+        }
+
+        let old_base = &bases[0];
+        let snapshot = bases.last().unwrap();
+        let mut restored = Fleet::from_snapshot(
+            browser.image.clone(),
+            ClearViewConfig::default(),
+            FleetConfig::new(8),
+            snapshot,
+        );
+        restored.run_epoch(&batch);
+        let mid_base = restored.checkpoint();
+        let dirty = restored.store.dirty();
+        assert!(
+            dirty.covers(mid_base.epoch),
+            "a post-restore base is covered"
+        );
+        assert!(
+            !dirty.covers(snapshot.epoch),
+            "a base at the restore label is not covered"
+        );
+        assert!(
+            !dirty.covers(old_base.epoch),
+            "a pre-restore base is not covered"
+        );
     }
 
     proptest! {

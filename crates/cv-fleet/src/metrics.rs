@@ -44,8 +44,6 @@ pub enum MetricEvent {
         shard_busy: Vec<Duration>,
         /// Wall time of the fan-out section.
         fanout: Duration,
-        /// Whether the fan-out ran on multiple threads (a fleet's never does).
-        ran_parallel: bool,
     },
     /// One patch-push round reaching `members` members.
     PatchPush {
@@ -97,12 +95,11 @@ pub enum MetricEvent {
     DeltaCut {
         /// Dirty store shards the delta carries.
         dirty_shards: u64,
-        /// Plan-stamped shards since the base (0 on the diff fallback).
+        /// Plan-stamped shards since the base (0 when the dirty tracker does
+        /// not cover the base).
         plan_shards: u64,
         /// Wall time of the cut.
         elapsed: Duration,
-        /// Whether the cut used the incremental dirty-epoch path.
-        incremental: bool,
     },
     /// A joiner reached its first completed presentation `epochs` epochs after
     /// syncing.
@@ -239,11 +236,6 @@ pub struct FleetMetrics {
     pub manager_fanout_time: Duration,
     /// Per-manager-shard busy time (accumulated across epochs).
     manager_shard_busy: Vec<Duration>,
-    /// Shard busy time accumulated in epochs whose fan-out actually ran on multiple
-    /// threads.
-    manager_parallel_busy: Duration,
-    /// Fan-out wall time of those same epochs.
-    manager_parallel_wall: Duration,
     /// Wall-clock time spent distributing patches to members.
     pub patch_propagation_time: Duration,
     /// Patch pushes distributed (one push reaches every member).
@@ -268,20 +260,17 @@ pub struct FleetMetrics {
     pub delta_bytes_total: u64,
     /// Full-snapshot bytes the deltas stood in for.
     pub delta_full_bytes_total: u64,
-    /// Deltas cut by the coordinator (incremental or diff-based).
+    /// Deltas cut by the coordinator.
     pub delta_cuts: u64,
-    /// Deltas cut incrementally from the dirty-epoch plane (no base snapshot
-    /// materialized, O(changed) instead of O(database)).
-    pub incremental_delta_cuts: u64,
     /// Wall-clock time spent cutting deltas.
     pub delta_cut_time: Duration,
     /// Dirty store shards carried by the most recent delta cut.
     pub dirty_shards_last: u64,
     /// Dirty store shards summed across all delta cuts.
     pub dirty_shards_total: u64,
-    /// Shards touched by patch-plan application since the most recent
-    /// incremental cut's base — the configuration-change footprint the plan
-    /// stamps record (0 when the cut took the diff fallback: no tracker there).
+    /// Shards touched by patch-plan application since the most recent cut's
+    /// base — the configuration-change footprint the plan stamps record (0 when
+    /// the dirty tracker did not cover that base).
     pub plan_dirty_shards_last: u64,
     /// Member-proportional state bytes, from the most recent residency event.
     pub member_state_bytes_last: u64,
@@ -360,11 +349,7 @@ impl FleetMetrics {
                 self.execution_time += *execution;
                 self.manager_time += *manager;
             }
-            MetricEvent::ManagerFanout {
-                shard_busy,
-                fanout,
-                ran_parallel,
-            } => {
+            MetricEvent::ManagerFanout { shard_busy, fanout } => {
                 if self.manager_shard_busy.len() < shard_busy.len() {
                     self.manager_shard_busy
                         .resize(shard_busy.len(), Duration::ZERO);
@@ -373,10 +358,6 @@ impl FleetMetrics {
                     *total += *busy;
                 }
                 self.manager_fanout_time += *fanout;
-                if *ran_parallel {
-                    self.manager_parallel_busy += shard_busy.iter().sum::<Duration>();
-                    self.manager_parallel_wall += *fanout;
-                }
             }
             MetricEvent::PatchPush {
                 pushes,
@@ -422,12 +403,8 @@ impl FleetMetrics {
                 dirty_shards,
                 plan_shards,
                 elapsed,
-                incremental,
             } => {
                 self.delta_cuts += 1;
-                if *incremental {
-                    self.incremental_delta_cuts += 1;
-                }
                 self.delta_cut_time += *elapsed;
                 self.dirty_shards_last = *dirty_shards;
                 self.dirty_shards_total += dirty_shards;
@@ -607,46 +584,23 @@ impl FleetMetrics {
         }
     }
 
-    /// The manager-parallel speedup: total shard busy time divided by fan-out wall
-    /// time, over the epochs whose fan-out actually ran on multiple threads.
-    ///
-    /// `None` when **no fan-out ever ran on multiple threads** — there is no
-    /// parallel section to measure, which is different from measuring one and
-    /// getting 1.0. A [`Fleet`](crate::Fleet) drives its manager shards on the
-    /// calling thread (a pass is tens of microseconds, about what a spawned thread
-    /// takes to start), so for a fleet this always reads `None`; it stays because
-    /// the JSON and `Display` forms of the metrics carry it.
-    pub fn manager_parallel_speedup(&self) -> Option<f64> {
-        let busy = self.manager_parallel_busy.as_secs_f64();
-        let wall = self.manager_parallel_wall.as_secs_f64();
-        if busy == 0.0 || wall == 0.0 {
-            None
-        } else {
-            Some(busy / wall)
-        }
-    }
-
     /// Render the aggregate as a JSON object (hand-rolled, matching the
     /// workspace's dependency-free JSON style). Key names are prefixed
     /// distinctly from the gated throughput keys in the bench files.
     pub fn to_json(&self, indent: &str) -> String {
         let mut out = String::with_capacity(1024);
-        let speedup = match self.manager_parallel_speedup() {
-            Some(s) => format!("{s:.3}"),
-            None => "null".to_string(),
-        };
         out.push_str(&format!(
             "{{\n{indent}  \"epochs\": {},\n{indent}  \"pages_processed\": {},\n\
              {indent}  \"execution_ms\": {:.3},\n{indent}  \"manager_ms\": {:.3},\n\
-             {indent}  \"manager_fanout_ms\": {:.3},\n{indent}  \"manager_parallel_speedup\": {},\n\
+             {indent}  \"manager_fanout_ms\": {:.3},\n\
              {indent}  \"patch_propagation_ms\": {:.3},\n{indent}  \"patch_pushes\": {},\n\
              {indent}  \"patch_applications\": {},\n{indent}  \"learning_pages\": {},\n\
              {indent}  \"snapshots_taken\": {},\n{indent}  \"snapshot_bytes_last\": {},\n\
              {indent}  \"snapshot_bytes_total\": {},\n{indent}  \"bootstraps\": {},\n\
              {indent}  \"bootstrap_bytes_total\": {},\n{indent}  \"delta_syncs\": {},\n\
              {indent}  \"delta_bytes_total\": {},\n{indent}  \"delta_full_bytes_total\": {},\n\
-             {indent}  \"delta_cuts\": {},\n{indent}  \"incremental_delta_cuts\": {},\n\
-             {indent}  \"delta_cut_time_us\": {:.1},\n{indent}  \"dirty_shards_last\": {},\n\
+             {indent}  \"delta_cuts\": {},\n{indent}  \"delta_cut_time_us\": {:.1},\n\
+             {indent}  \"dirty_shards_last\": {},\n\
              {indent}  \"dirty_shards_total\": {},\n{indent}  \"plan_dirty_shards_last\": {},\n\
              {indent}  \"member_state_bytes\": {},\n{indent}  \"shared_state_bytes\": {},\n\
              {indent}  \"bytes_per_member\": {:.1},\n{indent}  \"tier_merges\": {},\n\
@@ -667,7 +621,6 @@ impl FleetMetrics {
             self.execution_time.as_secs_f64() * 1e3,
             self.manager_time.as_secs_f64() * 1e3,
             self.manager_fanout_time.as_secs_f64() * 1e3,
-            speedup,
             self.patch_propagation_time.as_secs_f64() * 1e3,
             self.patch_pushes,
             self.patch_applications,
@@ -681,7 +634,6 @@ impl FleetMetrics {
             self.delta_bytes_total,
             self.delta_full_bytes_total,
             self.delta_cuts,
-            self.incremental_delta_cuts,
             self.delta_cut_time.as_secs_f64() * 1e6,
             self.dirty_shards_last,
             self.dirty_shards_total,
@@ -731,13 +683,9 @@ impl fmt::Display for FleetMetrics {
         )?;
         writeln!(
             f,
-            "  manager plane: {:.3} ms/epoch, {} shard(s), parallel speedup {}",
+            "  manager plane: {:.3} ms/epoch, {} shard(s)",
             self.manager_ms_per_epoch(),
-            self.manager_shard_busy.len(),
-            match self.manager_parallel_speedup() {
-                Some(s) => format!("{s:.2}x"),
-                None => "-".to_string(),
-            }
+            self.manager_shard_busy.len()
         )?;
         if self.manager_shard_busy.iter().any(|d| !d.is_zero()) {
             let per_shard: Vec<String> = self
@@ -804,10 +752,9 @@ impl fmt::Display for FleetMetrics {
         if self.delta_cuts > 0 {
             writeln!(
                 f,
-                "  delta cuts: {} ({} incremental), mean {:.1}µs, last touched {} dirty shard(s) \
+                "  delta cuts: {}, mean {:.1}µs, last touched {} dirty shard(s) \
                  ({} plan-stamped)",
                 self.delta_cuts,
-                self.incremental_delta_cuts,
                 self.mean_delta_cut_micros(),
                 self.dirty_shards_last,
                 self.plan_dirty_shards_last
@@ -932,14 +879,12 @@ mod tests {
             MetricEvent::ManagerFanout {
                 shard_busy: vec![Duration::from_micros(300), Duration::from_micros(500)],
                 fanout: Duration::from_micros(450),
-                ran_parallel: true,
             },
             MetricEvent::Snapshot { bytes: 2048 },
             MetricEvent::DeltaCut {
                 dirty_shards: 3,
                 plan_shards: 1,
                 elapsed: Duration::from_micros(40),
-                incremental: true,
             },
             MetricEvent::Crash,
             MetricEvent::Rejoin,
@@ -955,33 +900,6 @@ mod tests {
         assert_eq!(incremental, replayed);
         assert_eq!(replayed.crashes, 1);
         assert_eq!(replayed.learning_pages, 64);
-        assert!(replayed.manager_parallel_speedup().is_some());
-    }
-
-    #[test]
-    fn speedup_is_none_without_a_parallel_fanout() {
-        let mut m = FleetMetrics::with_manager_shards(4);
-        assert_eq!(m.manager_parallel_speedup(), None);
-        m.apply(&MetricEvent::ManagerFanout {
-            shard_busy: vec![Duration::from_micros(100); 4],
-            fanout: Duration::from_micros(400),
-            ran_parallel: false,
-        });
-        assert_eq!(
-            m.manager_parallel_speedup(),
-            None,
-            "inline fan-outs measure no parallel section"
-        );
-        m.apply(&MetricEvent::ManagerFanout {
-            shard_busy: vec![Duration::from_micros(100); 4],
-            fanout: Duration::from_micros(200),
-            ran_parallel: true,
-        });
-        let speedup = m.manager_parallel_speedup().unwrap();
-        assert!((speedup - 2.0).abs() < 1e-9);
-        // Display renders the measured case with an "x", the unmeasured as "-".
-        assert!(m.to_string().contains("speedup 2.00x"));
-        assert!(FleetMetrics::default().to_string().contains("speedup -"));
     }
 
     #[test]
@@ -992,12 +910,10 @@ mod tests {
             dirty_shards: 2,
             plan_shards: 0,
             elapsed: Duration::from_micros(10),
-            incremental: false,
         });
         let json = m.to_json("  ");
         assert!(json.contains("\"crashes\": 1"));
         assert!(json.contains("\"delta_cuts\": 1"));
-        assert!(json.contains("\"manager_parallel_speedup\": null"));
         // Distinct from the gated bench keys: the gated files use
         // "pages_per_second_sequential"/"_parallel"; this dump must not
         // introduce a bare colliding occurrence of those exact keys.

@@ -17,14 +17,14 @@
 //! **Dirty-epoch tracking.** The store is also where the persistence plane learns
 //! what changed: the merge reports the entries it actually modified (the
 //! `_observed` merge primitives), and the store stamps them — per shard, per epoch
-//! — into an embedded [`DirtyEpochs`] tracker. [`ShardedInvariantStore::dirty_since`]
-//! then answers "what may differ from the epoch-B checkpoint?" in O(changed),
-//! which is what lets `cv-store`'s `DeltaBuilder` cut deltas without materializing
-//! a base snapshot. A store whose state was installed wholesale (warm restore,
-//! model replacement) must call [`ShardedInvariantStore::reset_dirty`] with the
-//! epoch the new state corresponds to; older bases then fall back to full diffs.
+//! — into an embedded [`DirtyEpochs`] tracker, which then answers "what may differ
+//! from the epoch-B checkpoint?" in O(changed). That is what lets `cv-store`'s
+//! `DeltaBuilder` cut deltas without materializing a target snapshot. A store
+//! whose state was installed wholesale (warm restore, model replacement) must call
+//! [`ShardedInvariantStore::reset_dirty`] with the epoch the new state corresponds
+//! to; the cutter re-checks every address for older bases.
 
-use cv_inference::{DirtyEpochs, DirtySet, InvariantDatabase};
+use cv_inference::{DirtyEpochs, InvariantDatabase};
 use cv_isa::Addr;
 
 /// A community invariant database partitioned by check-address shard.
@@ -108,13 +108,6 @@ impl ShardedInvariantStore {
         for &shard in shards {
             self.dirty.mark_plan_shard(shard);
         }
-    }
-
-    /// Everything that may differ from the epoch-`base_epoch` checkpoint, or
-    /// `None` when the base predates the tracker's floor (fall back to a
-    /// materialized diff).
-    pub fn dirty_since(&self, base_epoch: u64) -> Option<DirtySet> {
-        self.dirty.dirty_since(base_epoch)
     }
 
     /// Merge member uploads into the store in one scan of each upload, every
@@ -203,7 +196,10 @@ mod tests {
 
                 // On a fresh store every address the merge created is stamped
                 // dirty, in the shard that owns it.
-                let dirty = store.dirty_since(0).expect("a fresh store covers epoch 0");
+                let dirty = store
+                    .dirty()
+                    .dirty_since(0)
+                    .expect("a fresh store covers epoch 0");
                 for (index, shard) in store.shards().iter().enumerate() {
                     let mut held: Vec<Addr> = shard.addrs().collect();
                     held.sort_unstable();
@@ -241,7 +237,7 @@ mod tests {
         assert_eq!(store.snapshot(), db);
         // Unknown mutation history: no base can be answered incrementally until
         // reset_dirty declares an epoch.
-        assert_eq!(store.dirty_since(0), None);
+        assert_eq!(store.dirty().dirty_since(0), None);
     }
 
     #[test]
@@ -255,7 +251,7 @@ mod tests {
         store.mark_proc(0x4_0000);
         store.mark_plan_shards(&[2, 0]);
 
-        let since1 = store.dirty_since(1).unwrap();
+        let since1 = store.dirty().dirty_since(1).unwrap();
         assert!(since1.dirty_addr_count() > 0);
         assert_eq!(since1.procs, vec![0x4_0000]);
         assert_eq!(since1.plan_shards, vec![0, 2]);
@@ -263,11 +259,11 @@ mod tests {
         // new values, so stamps exist, but strictly fewer than the full history
         // only if epoch 1 touched addresses epoch 2 left alone — both views must
         // at least be supersets of nothing and subsets of the epoch-1 view.
-        let since2 = store.dirty_since(2).unwrap();
+        let since2 = store.dirty().dirty_since(2).unwrap();
         assert!(since2.dirty_addr_count() <= since1.dirty_addr_count());
 
         store.reset_dirty(9);
-        assert_eq!(store.dirty_since(8), None);
-        assert!(store.dirty_since(9).unwrap().is_clean());
+        assert_eq!(store.dirty().dirty_since(8), None);
+        assert!(store.dirty().dirty_since(9).unwrap().is_clean());
     }
 }

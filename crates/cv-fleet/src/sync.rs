@@ -66,18 +66,14 @@ pub trait SyncSource {
     /// A checkpoint of the source's current state.
     fn checkpoint(&mut self) -> Snapshot;
 
-    /// The delta advancing `base` to the source's current state — incremental
-    /// from the dirty-epoch plane when it covers the base, a materialized diff
-    /// otherwise. Byte-identical either way.
+    /// The delta advancing `base` to the source's current state: one
+    /// [`DeltaBuilder`] cut against the source's dirty-epoch tracker,
+    /// byte-identical to [`DeltaSnapshot::diff`] whether or not the tracker
+    /// covers the base.
     fn delta_since(&mut self, base: &Snapshot) -> DeltaSnapshot;
 
     /// The encoded full-state payload for a member that needs everything.
     fn snapshot_for(&mut self) -> SyncPayload;
-
-    /// The earliest epoch the source still retains a checkpoint for (its own
-    /// current epoch when nothing older is retained): bases at or above this
-    /// floor can be served a delta from a retained checkpoint.
-    fn covered_floor(&self) -> u64;
 }
 
 /// One membership/sync operation, the argument to
@@ -198,8 +194,8 @@ impl TierRow {
     /// epoch *after* the seed: a base checkpoint carrying the seed's epoch
     /// label is not necessarily the seed (state can change mid-epoch), and a
     /// fresh row has no mutation history to tell them apart — the same
-    /// reasoning as the fleet's snapshot restore. Such bases fall back to the
-    /// materialized diff, which is byte-identical.
+    /// reasoning as the fleet's snapshot restore. For such bases the cutter
+    /// re-checks every address, which is byte-identical.
     pub fn new(tier: u32, width: usize, state: Snapshot) -> Self {
         let dirty = DirtyEpochs::new(state.shard_count as usize, state.epoch + 1);
         TierRow {
@@ -248,7 +244,7 @@ impl TierRow {
     /// cross-tier misroute is caught at the tier that received it), then the
     /// base epoch. On success the delta's contents are stamped into the row's
     /// dirty tracker — that is what lets the row cut its children's deltas
-    /// incrementally instead of diffing.
+    /// from the dirty set instead of walking every address.
     pub fn apply_relayed(&mut self, delta: &DeltaSnapshot) -> Result<(), TierSyncError> {
         delta
             .validate_routing(self.state.shard_count)
@@ -325,18 +321,12 @@ impl SyncSource for TierRow {
     }
 
     fn delta_since(&mut self, base: &Snapshot) -> DeltaSnapshot {
-        assert_eq!(
-            base.shard_count, self.state.shard_count,
-            "base checkpoint and tier state must share one shard routing"
-        );
-        match self.dirty.dirty_since(base.epoch) {
-            Some(dirty) => DeltaBuilder::new(base, &dirty).cut(
-                self.state.epoch,
-                &self.state.invariants,
-                self.state.plan.clone(),
-            ),
-            None => DeltaSnapshot::diff(base, &self.state),
-        }
+        DeltaBuilder::new(base, &self.dirty).cut(
+            self.state.epoch,
+            &self.state.invariants,
+            self.state.procedures.iter().copied(),
+            self.state.plan.clone(),
+        )
     }
 
     fn snapshot_for(&mut self) -> SyncPayload {
@@ -353,14 +343,6 @@ impl SyncSource for TierRow {
             plan: self.state.plan.clone(),
             encoded,
         }
-    }
-
-    fn covered_floor(&self) -> u64 {
-        self.retained
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or(self.state.epoch)
     }
 }
 

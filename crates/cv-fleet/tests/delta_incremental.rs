@@ -1,18 +1,22 @@
-//! Byte-identity of the incremental dirty-epoch delta cutter.
+//! Byte-identity of the delta cutter.
 //!
-//! `DeltaSnapshot::diff` is the executable specification: O(database), diffing two
-//! materialized snapshots. `DeltaBuilder` + the store's `DirtyEpochs` tracker cut
-//! the same delta in O(changed). These tests prove the two **byte-identical** —
-//! same struct, same encoded container — over:
+//! `DeltaSnapshot::diff` is the executable specification and the oracle here:
+//! O(database), diffing two materialized snapshots. `DeltaBuilder` with the
+//! store's `DirtyEpochs` tracker is the one production cutter: O(changed) for a
+//! base the tracker covers, a walk over every address for an older one. These
+//! tests prove its cuts **byte-identical** to the diff — same struct, same encoded
+//! container — over:
 //!
 //! * randomized epoch histories at the store level (proptest): merges that add,
 //!   reshape, drop (one-of overflow), and no-op entries; procedure discoveries;
 //!   plan churn; checkpoints cut mid-epoch (the open-epoch ambiguity the
-//!   inclusive `dirty_since` rule exists for);
+//!   inclusive `dirty_since` rule exists for); a tracker reset mid-history, as a
+//!   wholesale model install does, which sends the earlier bases down the full
+//!   walk;
 //! * a real fleet history: learning, multi-failure epochs, mid-epoch churn kills,
 //!   delta and full rejoins, warm and cold joiners;
-//! * the fallback seam: bases older than the tracker's floor (a coordinator
-//!   restored from a snapshot) take the materialized diff and still converge.
+//! * the restore seam: bases at or before the epoch a coordinator was restored
+//!   from a snapshot at, which the tracker does not cover, still converge.
 
 use cv_apps::{learning_suite, red_team_exploits, Browser, MULTI_FAILURE_TARGETS};
 use cv_core::{ClearViewConfig, Directive, NetPatchState, PatchPlan};
@@ -149,6 +153,7 @@ proptest! {
         seed in any::<u64>(),
         shard_count in 1usize..8,
         epochs in 2u64..8,
+        reset_at in 0u64..8,
     ) {
         let mut rng = Rng(seed);
         let mut coordinator = Coordinator::new(shard_count);
@@ -166,6 +171,12 @@ proptest! {
                     bases.push(coordinator.checkpoint());
                 }
             }
+            // A wholesale install forgets the tracker's history, as `set_model`
+            // does: every base cut so far, and this epoch's closing one, now
+            // takes the full walk.
+            if epoch == reset_at {
+                coordinator.store.reset_dirty(epoch + 1);
+            }
             if rng.below(2) == 0 {
                 bases.push(coordinator.checkpoint());
             }
@@ -175,17 +186,17 @@ proptest! {
         let fused = coordinator.store.snapshot();
         for base in &bases {
             let diffed = DeltaSnapshot::diff(base, &target);
-            let dirty = coordinator
-                .store
-                .dirty_since(base.epoch)
-                .expect("a live coordinator covers every base it ever cut");
-            let incremental =
-                DeltaBuilder::new(base, &dirty).cut(target.epoch, &fused, target.plan.clone());
-            prop_assert_eq!(&incremental, &diffed);
-            prop_assert_eq!(incremental.encode(), diffed.encode());
+            let cut = DeltaBuilder::new(base, coordinator.store.dirty()).cut(
+                target.epoch,
+                &fused,
+                target.procedures.iter().copied(),
+                target.plan.clone(),
+            );
+            prop_assert_eq!(&cut, &diffed);
+            prop_assert_eq!(cut.encode(), diffed.encode());
 
             let mut advanced = base.clone();
-            advanced.apply_delta(&incremental).unwrap();
+            advanced.apply_delta(&cut).unwrap();
             prop_assert_eq!(advanced, target.clone());
         }
     }
@@ -196,8 +207,9 @@ const MAX_EPOCHS: usize = 12;
 
 /// A real fleet history — learning, two simultaneous exploits, mid-epoch churn
 /// kills, delta + full rejoins, a warm and a cold joiner — with checkpoints cut
-/// along the way; every recorded base must yield byte-identical incremental and
-/// diff-based deltas, and the incremental path must actually have been taken.
+/// along the way; every recorded base must yield a cut byte-identical to the
+/// diff. (That the live fleet's tracker covers every one of these bases is
+/// checked in `cv-fleet`'s own unit tests, which can read the tracker.)
 #[test]
 fn fleet_history_cuts_identical_deltas_incrementally() {
     let browser = Browser::build();
@@ -268,24 +280,20 @@ fn fleet_history_cuts_identical_deltas_incrementally() {
     fleet.run_epoch(&batch);
     bases.push(fleet.checkpoint());
 
-    // Every base, old or new: incremental == diff, byte for byte.
+    // Every base, old or new: cut == diff, byte for byte.
     let target = fleet.checkpoint();
     for base in &bases {
-        let incremental = fleet.delta_since(base);
+        let cut = fleet.delta_since(base);
         let diffed = DeltaSnapshot::diff(base, &target);
-        assert_eq!(incremental, diffed);
-        assert_eq!(incremental.encode(), diffed.encode());
+        assert_eq!(cut, diffed);
+        assert_eq!(cut.encode(), diffed.encode());
         let mut advanced = base.clone();
-        advanced.apply_delta(&incremental).unwrap();
+        advanced.apply_delta(&cut).unwrap();
         assert_eq!(advanced, target);
     }
 
     let metrics = fleet.metrics();
-    assert_eq!(
-        metrics.delta_cuts, metrics.incremental_delta_cuts,
-        "a live fleet covers all its own checkpoints: every cut must be incremental"
-    );
-    assert!(metrics.incremental_delta_cuts >= bases.len() as u64);
+    assert!(metrics.delta_cuts >= bases.len() as u64);
     assert!(metrics.dirty_shards_last <= fleet.shard_count() as u64);
 }
 
@@ -319,8 +327,9 @@ fn restored_fleet_never_hands_identity_deltas_to_same_label_bases() {
         DeltaSnapshot::diff(&first, &second).encode()
     );
 
-    // The restored coordinator cannot tell the variants apart; it must fall
-    // back to the diff for the same-label base rather than claim it clean.
+    // The restored coordinator cannot tell the variants apart; its tracker does
+    // not cover the same-label base, so the cutter re-checks every address
+    // rather than claim it clean.
     let mut restored = Fleet::from_snapshot(
         browser.image.clone(),
         ClearViewConfig::default(),
@@ -328,18 +337,21 @@ fn restored_fleet_never_hands_identity_deltas_to_same_label_bases() {
         &second,
     );
     let restored_delta = restored.delta_since(&first);
-    assert_eq!(restored.metrics().incremental_delta_cuts, 0);
     assert!(!restored_delta.is_identity());
+    assert_eq!(
+        restored_delta.encode(),
+        DeltaSnapshot::diff(&first, &restored.checkpoint()).encode()
+    );
     let mut advanced = first.clone();
     advanced.apply_delta(&restored_delta).unwrap();
     assert_eq!(advanced.invariants, second.invariants);
 }
 
 /// A coordinator restored from a snapshot has no mutation history older than the
-/// restore point: bases at or after it cut incrementally, older bases take the
-/// materialized-diff fallback — and both converge members onto the same state.
+/// restore point: bases after it are cut from the dirty set, bases at or before
+/// it by the full walk — and both converge members onto the same state.
 #[test]
-fn restored_fleet_falls_back_to_diff_for_pre_restore_bases() {
+fn restored_fleet_cuts_pre_restore_bases_by_full_walk() {
     let browser = Browser::build();
     let exploit = red_team_exploits(&browser)
         .into_iter()
@@ -376,21 +388,15 @@ fn restored_fleet_falls_back_to_diff_for_pre_restore_bases() {
     let target = restored.checkpoint();
 
     // Only the post-restore base is covered. Both the pre-restore base *and* a
-    // base carrying the restore snapshot's own epoch label must take the diff
-    // fallback: the restore has no mutation history for that epoch, and two
-    // different checkpoints can share a label (learning lands mid-epoch), so
-    // claiming coverage there could hand a member an identity delta for state
-    // it does not hold. All three must equal the specification diff exactly.
+    // base carrying the restore snapshot's own epoch label take the full walk:
+    // the restore has no mutation history for that epoch, and two different
+    // checkpoints can share a label (learning lands mid-epoch), so claiming
+    // coverage there could hand a member an identity delta for state it does
+    // not hold. All three must equal the specification diff exactly.
     let from_mid = restored.delta_since(&mid_base);
-    assert_eq!(restored.metrics().incremental_delta_cuts, 1);
     let from_restore_label = restored.delta_since(&snapshot);
     let from_old = restored.delta_since(&old_base);
     assert_eq!(restored.metrics().delta_cuts, 3);
-    assert_eq!(
-        restored.metrics().incremental_delta_cuts,
-        1,
-        "bases at or before the restore label must take the diff fallback"
-    );
     for (base, delta) in [
         (&mid_base, from_mid),
         (&snapshot, from_restore_label),

@@ -127,10 +127,4 @@ fn per_shard_manager_metrics_are_recorded() {
         "at least one manager shard did measurable work"
     );
     assert!(metrics.manager_ms_per_epoch() > 0.0);
-    // The manager pass runs its shards on the calling thread, so there is no
-    // parallel section to measure a speedup over.
-    assert_eq!(metrics.manager_parallel_speedup(), None);
-    // The speedup column renders in the Display output either way.
-    let rendered = format!("{metrics}");
-    assert!(rendered.contains("parallel speedup"), "{rendered}");
 }

@@ -23,8 +23,8 @@
 //! * Every mutation of the tracked state is stamped; a state swap whose mutation
 //!   history is unknown (restoring a snapshot, replacing the model wholesale)
 //!   [`reset`](DirtyEpochs::reset)s the tracker with a new *floor* — the earliest
-//!   base epoch it can answer for. Below the floor the caller must fall back to a
-//!   materialized diff.
+//!   base epoch it can answer for. Below the floor it answers `None`, and the
+//!   delta cutter re-checks every address instead.
 //! * `dirty_since(B)` includes the bucket of epoch `B` itself, not just later
 //!   buckets: a checkpoint labelled `B` may have been cut *before* later mutations
 //!   stamped in the still-open epoch `B`, and the cheap re-compare makes the
@@ -175,7 +175,7 @@ impl DirtyEpochs {
 
     /// Everything stamped dirty in epochs `>= base_epoch` — a superset of what
     /// differs from the epoch-`base_epoch` checkpoint — or `None` when the base
-    /// predates the tracker's floor and only a materialized diff can answer.
+    /// predates the tracker's floor and every address must be re-checked.
     ///
     /// Cost is proportional to the number of stamps since the base, not to the
     /// database size: buckets older than the base are never visited.
@@ -211,7 +211,7 @@ impl DirtyEpochs {
 
     /// Drop buckets older than `epoch` and raise the floor accordingly — bounds
     /// the tracker's memory on a long-lived coordinator. Bases older than the new
-    /// floor fall back to materialized diffs (the tracker reports not covering
+    /// floor take the cutter's full walk (the tracker reports not covering
     /// them); nothing is ever silently misanswered.
     pub fn retain_since(&mut self, epoch: u64) {
         if epoch <= self.floor {

@@ -19,7 +19,9 @@ use crate::error::StoreError;
 use crate::snapshot::{Snapshot, SECTION_PLAN};
 use crate::wire::{read_container, require_section, write_container, Reader, Writer};
 use cv_core::PatchPlan;
-use cv_inference::{DirtySet, Invariant, InvariantDatabase, LearningStats, ShardRouter};
+use cv_inference::{
+    DirtyEpochs, DirtySet, Invariant, InvariantDatabase, LearningStats, ShardRouter,
+};
 use cv_isa::Addr;
 use std::collections::BTreeMap;
 
@@ -302,66 +304,93 @@ impl DeltaSnapshot {
     }
 }
 
-/// Cuts a [`DeltaSnapshot`] **incrementally** — from the dirty-epoch plane's
-/// answer of what changed, never by materializing and diffing the target.
+/// Cuts a [`DeltaSnapshot`] from a base checkpoint and the live state — the one
+/// cutter every production delta goes through.
 ///
 /// [`DeltaSnapshot::diff`] costs O(database): it walks every entry of two full
-/// snapshots even when one address changed. `DeltaBuilder` instead takes the base
-/// checkpoint and a [`DirtySet`] (from
+/// snapshots even when one address changed. `DeltaBuilder` re-compares only the
+/// *candidate* addresses against the live database. When the base's dirty-epoch
+/// tracker covers it, the candidates are
 /// [`DirtyEpochs::dirty_since`](cv_inference::DirtyEpochs::dirty_since) — a
-/// superset of the addresses whose entries may differ from the base), re-compares
-/// exactly those addresses against the live database, and emits the identical
-/// delta in O(changed · log database).
+/// superset of the addresses whose entries may differ from the base — and the cut
+/// costs O(changed · log database). When the base predates the tracker's floor,
+/// the candidates are every address in base ∪ live and every live procedure: the
+/// full walk, O(database) like the diff, taken only by bases older than a
+/// wholesale state install.
 ///
-/// **Byte-identity contract**: provided the dirty set really is a superset of the
-/// changed addresses (the tracker's soundness contract), the cut delta is
-/// byte-for-byte the delta `DeltaSnapshot::diff(base, target)` would produce from
-/// the materialized target — same entries, same order, same encoding — proven by
-/// the `delta_incremental` proptest suite over randomized epoch histories. All
-/// wire guarantees (shard-routing validation, apply semantics, the golden
-/// fixture) therefore hold unchanged.
+/// **Byte-identity contract**: the candidates are always a superset of the changed
+/// addresses, so the cut delta is byte-for-byte the delta
+/// `DeltaSnapshot::diff(base, target)` would produce from the materialized target
+/// — same entries, same order, same encoding — proven by the `delta_incremental`
+/// proptest suite over randomized epoch histories with resets. All wire guarantees
+/// (shard-routing validation, apply semantics, the golden fixture) therefore hold
+/// unchanged, and `diff` is only the oracle the tests compare against.
 #[derive(Debug)]
 pub struct DeltaBuilder<'a> {
     base: &'a Snapshot,
-    dirty: &'a DirtySet,
+    /// What may differ from the base, or `None` when the tracker does not cover
+    /// it and every address is a candidate.
+    dirty: Option<DirtySet>,
 }
 
 impl<'a> DeltaBuilder<'a> {
-    /// A builder cutting deltas against `base`, re-checking the addresses in
-    /// `dirty`. Panics if the dirty set's shard keying disagrees with the base's
-    /// — one routing per delta, same rule as [`DeltaSnapshot::diff`].
-    pub fn new(base: &'a Snapshot, dirty: &'a DirtySet) -> Self {
+    /// A builder cutting deltas against `base`, asking `tracker` what changed
+    /// since it. Panics if the tracker's shard keying disagrees with the base's —
+    /// one routing per delta, same rule as [`DeltaSnapshot::diff`].
+    pub fn new(base: &'a Snapshot, tracker: &DirtyEpochs) -> Self {
         assert_eq!(
             base.shard_count as usize,
-            dirty.shard_count(),
-            "dirty set and base snapshot must share one shard routing"
+            tracker.shard_count(),
+            "dirty tracker and base snapshot must share one shard routing"
         );
-        DeltaBuilder { base, dirty }
+        DeltaBuilder {
+            base,
+            dirty: tracker.dirty_since(base.epoch),
+        }
+    }
+
+    /// Shards stamped by patch-plan application since the base — the
+    /// configuration-change footprint. 0 when the tracker does not cover the
+    /// base: its plan stamps are gone.
+    pub fn plan_shards(&self) -> usize {
+        self.dirty
+            .as_ref()
+            .map_or(0, |dirty| dirty.plan_shards.len())
     }
 
     /// Cut the delta advancing the base to the live state: `invariants` is the
-    /// coordinator's current database (its stats ride along wholesale), the dirty
-    /// set's proc stamps supply the procedure additions, and `plan` is the
-    /// current net patch plan (also carried wholesale, exactly as `diff` does).
+    /// coordinator's current database (its stats ride along wholesale),
+    /// `procedures` its discovered procedure entries in snapshot order (read only
+    /// by the full walk; a covered base takes the tracker's proc stamps), and
+    /// `plan` is the current net patch plan (also carried wholesale, exactly as
+    /// `diff` does).
     pub fn cut(
         &self,
         target_epoch: u64,
         invariants: &InvariantDatabase,
+        procedures: impl IntoIterator<Item = Addr>,
         plan: PatchPlan,
     ) -> DeltaSnapshot {
-        let _span = cv_obs::recorder()
-            .span("store.delta_cut_incremental", "store")
+        let span = cv_obs::recorder()
+            .span("store.delta_cut", "store")
             .arg("base_epoch", self.base.epoch)
-            .arg("target_epoch", target_epoch)
-            .arg("dirty_addrs", self.dirty.dirty_addr_count() as u64);
+            .arg("target_epoch", target_epoch);
+        let full;
+        let candidates = match &self.dirty {
+            Some(dirty) => dirty,
+            None => {
+                full = self.every_address(invariants, procedures);
+                &full
+            }
+        };
+        let _span = span.arg("candidates", candidates.dirty_addr_count() as u64);
         let mut removed: Vec<Addr> = Vec::new();
         let mut shards: Vec<ShardDelta> = Vec::new();
-        for (shard, addrs) in self.dirty.per_shard.iter().enumerate() {
+        for (shard, addrs) in candidates.per_shard.iter().enumerate() {
             let mut entries: Vec<(Addr, Vec<Invariant>)> = Vec::new();
             for &addr in addrs {
                 // The same predicate `diff` applies to *every* address, evaluated
-                // only for the dirty ones: untracked addresses are unchanged by
-                // the dirty plane's soundness contract.
+                // only for the candidates: any other address is unchanged.
                 let base_entry = self.base.invariants.entry(addr);
                 match invariants.entry(addr) {
                     Some(target_entry) => {
@@ -383,12 +412,11 @@ impl<'a> DeltaBuilder<'a> {
                 });
             }
         }
-        // Per-shard entry lists are ascending (the dirty set is sorted per shard);
+        // Per-shard entry lists are ascending (candidates are sorted per shard);
         // removals must be *globally* ascending like the diff's base-order walk.
         removed.sort_unstable();
 
-        let procs_added: Vec<Addr> = self
-            .dirty
+        let procs_added: Vec<Addr> = candidates
             .procs
             .iter()
             .copied()
@@ -404,6 +432,33 @@ impl<'a> DeltaBuilder<'a> {
             stats: invariants.stats,
             procs_added,
             plan,
+        }
+    }
+
+    /// The full walk's candidates: every address in base ∪ live, routed to its
+    /// shard in ascending order, and every live procedure.
+    fn every_address(
+        &self,
+        invariants: &InvariantDatabase,
+        procedures: impl IntoIterator<Item = Addr>,
+    ) -> DirtySet {
+        let router = ShardRouter::new(self.base.shard_count as usize);
+        let mut addrs: Vec<Addr> = self
+            .base
+            .invariants
+            .addrs()
+            .chain(invariants.addrs())
+            .collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let mut per_shard = vec![Vec::new(); router.shard_count()];
+        for addr in addrs {
+            per_shard[router.shard_of(addr)].push(addr);
+        }
+        DirtySet {
+            per_shard,
+            procs: procedures.into_iter().collect(),
+            plan_shards: Vec::new(),
         }
     }
 }
@@ -571,14 +626,24 @@ mod tests {
         target.invariants.stats = live.stats;
 
         let diffed = DeltaSnapshot::diff(&base, &target);
-        let set = dirty.dirty_since(base.epoch).unwrap();
-        let incremental = DeltaBuilder::new(&base, &set).cut(8, &live, PatchPlan::new());
+        let procs = target.procedures.iter().copied();
+        let incremental =
+            DeltaBuilder::new(&base, &dirty).cut(8, &live, procs.clone(), PatchPlan::new());
         assert_eq!(incremental, diffed);
         assert_eq!(incremental.encode(), diffed.encode());
 
         let mut advanced = base.clone();
         advanced.apply_delta(&incremental).unwrap();
         assert_eq!(advanced, target);
+
+        // A tracker whose floor is past the base re-checks every address and
+        // every live procedure, and cuts the same bytes.
+        let mut uncovered = dirty.clone();
+        uncovered.reset(6);
+        let builder = DeltaBuilder::new(&base, &uncovered);
+        assert_eq!(builder.plan_shards(), 0);
+        let full = builder.cut(8, &live, procs, PatchPlan::new());
+        assert_eq!(full.encode(), diffed.encode());
     }
 
     #[test]

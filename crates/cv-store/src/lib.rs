@@ -17,10 +17,12 @@
 //!   by (epoch, shard): per store shard, only the added/modified entries, plus
 //!   removals, new procedures, and the target plan. An up-to-date member syncs
 //!   strictly fewer bytes than a full snapshot when little changed.
-//! * [`DeltaBuilder`] (`delta.rs`) — cuts the *identical* delta incrementally from
-//!   the dirty-epoch plane ([`cv_inference::DirtyEpochs`]) in O(changed), without
-//!   materializing or scanning a base snapshot; [`DeltaSnapshot::diff`] remains
-//!   the O(database) executable specification it is proven byte-equal to.
+//! * [`DeltaBuilder`] (`delta.rs`) — the one production cutter: it re-checks the
+//!   addresses the dirty-epoch plane ([`cv_inference::DirtyEpochs`]) stamped since
+//!   the base, in O(changed), or every address when the tracker does not cover the
+//!   base, without materializing a target snapshot. [`DeltaSnapshot::diff`] is the
+//!   O(database) executable specification and the oracle the cuts are proven
+//!   byte-equal to.
 //! * [`StoreError`] (`error.rs`) — the decoder's *reject, never misread* contract:
 //!   truncation, checksum mismatches, unknown versions, and structurally impossible
 //!   payloads all fail loudly.
