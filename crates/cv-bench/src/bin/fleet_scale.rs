@@ -1,8 +1,7 @@
 //! Fleet-scale benchmark: sequential vs. parallel epoch scheduling throughput
-//! (pages/sec), monolithic vs. sharded invariant-store merge, and — since the
-//! manager plane was sharded — the multi-failure manager benchmark: N simultaneous
-//! exploits at N distinct failure locations, where the sharded manager turns the
-//! per-epoch responder pass from O(failures) into O(failures / workers). A captured
+//! (pages/sec), monolithic vs. sharded invariant-store merge, and the multi-failure
+//! manager benchmark: N simultaneous exploits at N distinct failure locations, with
+//! the manager's per-epoch time on a one-worker and an N-worker fleet. A captured
 //! run is recorded in `EXPERIMENTS.md`.
 //!
 //! Run with: `cargo run --release -p cv-bench --bin fleet_scale [-- OPTIONS]`
@@ -14,8 +13,8 @@
 //!   --churn         run the churn scenario (kill 20% mid-epoch, rejoin half by
 //!                   delta sync and half by full bootstrap, late-join warm + cold)
 //!   --digest PATH   determinism mode: run only the log-producing scenarios
-//!                   (multi-failure sequential + sharded, churn), assert the
-//!                   sequential and sharded manager logs byte-identical, and
+//!                   (multi-failure on 1 worker + N workers, churn), assert
+//!                   the two multi-failure logs byte-identical, and
 //!                   write every `BatchLog` record to PATH — CI runs this twice
 //!                   and diffs the files, locking in the byte-identical-log
 //!                   guarantee across runs. No timing-dependent output.
@@ -33,8 +32,8 @@
 //!                   `BENCH_fleet.json` become medians, and a `"spread"` object
 //!                   records median/min/max/MAD/IQR plus the raw samples per
 //!                   metric — the shape `perf_gate` ingests.
-//!   --tree-fanout N merge and push patch plans through a hierarchical manager
-//!                   tree with fan-out N (0 = flat, the default)
+//!   --tree-fanout N push patch plans and serve member syncs through a
+//!                   hierarchical manager tree with fan-out N (0 = flat, the default)
 //!   --sweep LIST    scale sweep: for each comma-separated member count (e.g.
 //!                   `1000,10000,100000`) drive an event-engine fleet to
 //!                   fleet-wide immunity, measure pages/sec and bytes/member,
@@ -72,7 +71,6 @@ use std::time::Instant;
 
 const MERGE_MEMBERS: usize = 64;
 const MERGE_ROUNDS: usize = 50;
-const MANAGER_SHARDS: usize = 8;
 const MULTI_FAILURE_EPOCHS: u64 = 10;
 
 #[derive(Debug, Clone)]
@@ -273,9 +271,8 @@ fn log_dump(fleet: &Fleet) -> String {
 }
 
 /// Attack all eight defects simultaneously: every member presents the exploit page
-/// of defect `member % 8`, every epoch. The manager therefore routes
-/// `members × active-locations` digests per epoch — the responder load the sharded
-/// plane parallelizes.
+/// of defect `member % 8`, every epoch. The manager therefore consumes
+/// `members × active-locations` digests per epoch.
 fn multi_failure(browser: &Browser, model: &LearnedModel, config: FleetConfig) -> MultiFailureRun {
     let all = red_team_exploits(browser);
     let exploits: Vec<_> = MULTI_FAILURE_TARGETS
@@ -713,10 +710,10 @@ fn reconcile(summary: &Summary, metrics: &FleetMetrics) {
 }
 
 /// Determinism mode (`--digest PATH`): run only the log-producing scenarios,
-/// assert the sequential and sharded manager logs byte-identical (the PR 2
-/// parity guarantee), and write every record to PATH. CI runs this twice and
-/// diffs the two files: any nondeterminism in learning, routing, responder
-/// driving, plan merging, or the delta-sync byte accounting shows up as a diff.
+/// assert the one-worker and N-worker logs byte-identical, and write every
+/// record to PATH. CI runs this twice and diffs the two files: any
+/// nondeterminism in learning, responder driving, plan ordering, or the
+/// delta-sync byte accounting shows up as a diff.
 fn write_digest(path: &str, opts: &Options) {
     let browser = Browser::build();
     let model = learn_model(
@@ -730,7 +727,6 @@ fn write_digest(path: &str, opts: &Options) {
         &model,
         FleetConfig::new(opts.nodes)
             .sequential()
-            .with_manager_shards(1)
             .with_transport(opts.transport_kind()),
     );
     let par_run = multi_failure(
@@ -738,21 +734,19 @@ fn write_digest(path: &str, opts: &Options) {
         &model,
         FleetConfig::new(opts.nodes)
             .with_workers(opts.workers)
-            .with_manager_shards(MANAGER_SHARDS)
             .with_transport(opts.transport_kind()),
     );
     assert_eq!(seq_run.immune, par_run.immune, "manager parity violated");
     assert_eq!(
         seq_run.log, par_run.log,
-        "sequential and sharded managers must write byte-identical logs"
+        "one-worker and N-worker fleets must write byte-identical logs"
     );
     let churn_run = churn(&browser, opts);
 
     let digest = format!(
-        "== multi-failure ({} members, {} exploits, sequential == sharded x{}) ==\n{}\n== churn ({} members) ==\n{}",
+        "== multi-failure ({} members, {} exploits, sequential == parallel) ==\n{}\n== churn ({} members) ==\n{}",
         opts.nodes,
         MULTI_FAILURE_TARGETS.len(),
-        MANAGER_SHARDS,
         par_run.log,
         opts.nodes,
         churn_run.log,
@@ -1100,7 +1094,6 @@ fn main() {
         &model,
         FleetConfig::new(opts.nodes)
             .sequential()
-            .with_manager_shards(1)
             .with_transport(opts.transport_kind()),
     );
     let par_run = multi_failure(
@@ -1108,34 +1101,26 @@ fn main() {
         &model,
         FleetConfig::new(opts.nodes)
             .with_workers(opts.workers)
-            .with_manager_shards(MANAGER_SHARDS)
             .with_transport(opts.transport_kind()),
     );
     // Keep the benchmark honest before anything is reported or written: the
-    // sharded manager must reach the same immunity as the sequential one.
+    // parallel fleet must reach the same immunity as the sequential one.
     assert_eq!(seq_run.immune, par_run.immune, "manager parity violated");
     print_table(
         &format!(
-            "Sharded manager plane ({} exploits at distinct addresses, {} members, {MULTI_FAILURE_EPOCHS} epochs)",
+            "Manager plane ({} exploits at distinct addresses, {} members, {MULTI_FAILURE_EPOCHS} epochs)",
             MULTI_FAILURE_TARGETS.len(),
             opts.nodes
         ),
-        &[
-            "manager",
-            "shards",
-            "manager ms/epoch",
-            "immune locations",
-        ],
+        &["fleet", "manager ms/epoch", "immune locations"],
         &[
             vec![
                 "sequential (seed shape)".into(),
-                "1".into(),
                 format!("{:.3}", seq_run.manager_ms_per_epoch),
                 format!("{}/{}", seq_run.immune, MULTI_FAILURE_TARGETS.len()),
             ],
             vec![
-                format!("sharded ({worker_label})"),
-                MANAGER_SHARDS.to_string(),
+                format!("parallel ({worker_label})"),
                 format!("{:.3}", par_run.manager_ms_per_epoch),
                 format!("{}/{}", par_run.immune, MULTI_FAILURE_TARGETS.len()),
             ],
@@ -1144,15 +1129,6 @@ fn main() {
     for (bug, epochs) in &par_run.immunity_epochs {
         println!("  defect {bug}: community-immune after {epochs} epoch(s)");
     }
-    let manager_wall_ratio = if par_run.manager_ms_per_epoch > 0.0 {
-        seq_run.manager_ms_per_epoch / par_run.manager_ms_per_epoch
-    } else {
-        1.0
-    };
-    println!(
-        "manager wall-clock vs sequential: {manager_wall_ratio:.2}x \
-         (the manager pass runs its shards on the calling thread, so expect ~1x)"
-    );
 
     if scheduling_speedup > 1.0 {
         println!(
@@ -1271,13 +1247,12 @@ fn main() {
             MetricStats::from_histogram(&par_hist).to_json(),
         );
         let json = format!(
-            "{{\n  \"bench\": \"fleet_scale\",\n  \"nodes\": {},\n  \"workers\": {},\n  \"cores\": {cores},\n  \"epochs\": {},\n  \"rounds\": {},\n  \"warmups\": {warmups},\n  \"pages_per_second_sequential\": {seq_rate:.1},\n  \"pages_per_second_parallel\": {par_rate:.1},\n  \"scheduling_speedup\": {scheduling_speedup:.3},\n  \"merge_monolithic_seconds\": {mono:.4},\n  \"merge_sharded_parallel_seconds\": {sharded:.4},\n  \"manager_ms_per_epoch_sequential\": {:.4},\n  \"manager_ms_per_epoch_sharded\": {:.4},\n  \"manager_shards\": {MANAGER_SHARDS},\n  \"multi_failure_locations\": {},\n  \"immune_locations\": {},\n  \"time_to_immunity_epochs_max\": {max_immunity},\n  \"time_to_immunity_epochs\": {{ {} }}{churn_json}{metrics_json}{spread_json}\n}}\n",
+            "{{\n  \"bench\": \"fleet_scale\",\n  \"nodes\": {},\n  \"workers\": {},\n  \"cores\": {cores},\n  \"epochs\": {},\n  \"rounds\": {},\n  \"warmups\": {warmups},\n  \"pages_per_second_sequential\": {seq_rate:.1},\n  \"pages_per_second_parallel\": {par_rate:.1},\n  \"scheduling_speedup\": {scheduling_speedup:.3},\n  \"merge_monolithic_seconds\": {mono:.4},\n  \"merge_sharded_parallel_seconds\": {sharded:.4},\n  \"manager_ms_per_epoch_sequential\": {:.4},\n  \"multi_failure_locations\": {},\n  \"immune_locations\": {},\n  \"time_to_immunity_epochs_max\": {max_immunity},\n  \"time_to_immunity_epochs\": {{ {} }}{churn_json}{metrics_json}{spread_json}\n}}\n",
             opts.nodes,
             opts.workers,
             opts.epochs,
             opts.rounds,
             seq_run.manager_ms_per_epoch,
-            par_run.manager_ms_per_epoch,
             MULTI_FAILURE_TARGETS.len(),
             par_run.immune,
             immunity_entries.join(", "),

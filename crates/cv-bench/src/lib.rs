@@ -13,7 +13,7 @@
 //! | `learning_overhead` | Section 4.4.1 (≈300× learning slowdown) |
 //! | `patch_time_summary` | Section 4.4.3 (average minutes / executions to a patch) |
 //! | `ablation_config` | Section 4.3.2 / 2.4.1 design-choice ablations |
-//! | `fleet_scale` | Community-scale throughput: sequential vs. parallel epoch scheduling and monolithic vs. sharded invariant merges (`cv-fleet`) |
+//! | `fleet_scale` | Community-scale throughput: sequential vs. parallel epoch scheduling, monolithic vs. sharded invariant-store merges, and manager time under eight simultaneous failures (`cv-fleet`) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,9 +11,9 @@
 //! * [`RepairEvaluator`] — the `(s − f) + b` repair scoring (Section 2.6).
 //! * [`FailureResponder`] — the per-failure state machine: checking → repairing →
 //!   protected, with give-up paths.
-//! * [`manager`] — the sharded manager plane: pure digest routing
-//!   ([`DigestRouter`]), per-shard responder ownership ([`ResponderShard`]), and the
-//!   deterministic fleet-wide patch-op merge ([`PatchPlan`]).
+//! * [`manager`] — the manager plane: the responder set ([`ResponderShard`], one
+//!   responder per failure location), the batch it consumes ([`ShardBucket`]), and
+//!   the canonically ordered patch operations it emits ([`PatchPlan`]).
 //! * [`ProtectedApplication`] — a single application instance under ClearView
 //!   protection: present pages, watch it learn from failure, and read back the
 //!   Table 3-style [`AttackTimeline`] and maintainer [`RepairReport`]s.
@@ -35,8 +35,8 @@ pub use config::ClearViewConfig;
 pub use correlate::{candidate_invariants, classify, CandidateSet, Correlation};
 pub use evaluate::{RepairEvaluator, RepairScore};
 pub use manager::{
-    DigestRouter, FailureEvent, NetPatchState, PatchPlan, PlanOp, ResponderShard, RoutedDigest,
-    ShardBucket, ShardOutcome, SourceId,
+    FailureEvent, NetPatchState, PatchPlan, PlanOp, ResponderShard, RoutedDigest, ShardBucket,
+    ShardOutcome, SourceId,
 };
 pub use pipeline::{
     checks_for, learn_model, AttackTimeline, PresentationOutcome, ProtectedApplication,

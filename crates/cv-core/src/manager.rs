@@ -1,30 +1,25 @@
-//! The sharded manager plane: parallel per-failure responders with a deterministic
-//! patch-op merge.
+//! The manager plane: one responder per failure location, and the patch plans the
+//! responders emit.
 //!
 //! ClearView centralizes every repair decision at the management console
 //! (Section 3.2): each failure location owns one [`FailureResponder`], and whoever
 //! runs the application feeds the responders run digests and applies the
 //! [`Directive`]s they emit. This module factors that *responder driving* out of the
-//! single-machine pipeline and the fleet engine into three composable pieces:
+//! single-machine pipeline and the fleet engine into three pieces:
 //!
-//! 1. **Routing** ([`DigestRouter`]) — a pure step that partitions the digests and
-//!    failure reports of one batch into per-shard buckets. Digests partition cleanly
-//!    by failure location (a digest is addressed to the responder of the location it
-//!    was built for, regardless of its [`DigestStatus`]), so routing never inspects
-//!    responder state.
-//! 2. **Shards** ([`ResponderShard`]) — each shard owns the responders for a disjoint
-//!    slice of failure locations and processes its bucket independently: no two
-//!    shards share any mutable state, so N shards can run on N threads.
-//! 3. **Merge** ([`PatchPlan`]) — each shard emits its directives as an ordered
-//!    [`PatchPlan`]; [`PatchPlan::merge`] combines the per-shard plans into one
-//!    fleet-wide plan with a *stable* sort by failure location. Because every shard
-//!    is deterministic and the merge imposes a canonical order, parallel and
-//!    sequential manager passes produce byte-identical plans (and therefore
-//!    byte-identical console logs) — the property `manager_parity` tests prove.
+//! 1. **Input** ([`ShardBucket`]) — one batch's digests and failure reports, each
+//!    addressed to a failure location, in batch order. A digest is addressed to the
+//!    responder of the location it was built for, regardless of its
+//!    [`DigestStatus`].
+//! 2. **Responders** ([`ResponderShard`]) — the manager's responder set, which
+//!    processes one bucket at a time, deterministically and in batch order.
+//! 3. **Plan** ([`PatchPlan`]) — the directives one batch produced, as ordered
+//!    operations; [`PatchPlan::merge`] puts them in the canonical order (a *stable*
+//!    sort by failure location) that the fleet's console log records.
 //!
-//! The single-machine [`ProtectedApplication`](crate::ProtectedApplication) is the
-//! degenerate deployment: one shard, one source, one digest per batch. The fleet
-//! engine (`cv-fleet`) fans buckets across its worker pool.
+//! The single-machine [`ProtectedApplication`](crate::ProtectedApplication) feeds its
+//! responder set one digest source and one presentation per batch; the fleet engine
+//! (`cv-fleet`) feeds its one responder set every member's digests of an epoch.
 
 use crate::config::ClearViewConfig;
 use crate::responder::{DigestStatus, Directive, FailureResponder, RunDigest};
@@ -58,13 +53,13 @@ pub struct FailureEvent {
     pub failure: Failure,
 }
 
-/// The per-shard slice of one batch: the digests and failure reports for the failure
-/// locations the shard owns, each in batch order.
+/// One batch of manager input: the batch's digests and failure reports, each in
+/// batch order.
 #[derive(Debug, Clone, Default)]
 pub struct ShardBucket {
-    /// Digests for responders this shard owns.
+    /// Digests, each addressed to the responder of one failure location.
     pub digests: Vec<RoutedDigest>,
-    /// Failures at locations this shard owns (existing or new).
+    /// Failures, at locations with a responder or without one yet.
     pub failures: Vec<FailureEvent>,
 }
 
@@ -72,59 +67,6 @@ impl ShardBucket {
     /// True if the bucket carries no work.
     pub fn is_empty(&self) -> bool {
         self.digests.is_empty() && self.failures.is_empty()
-    }
-}
-
-/// The pure routing step: partitions a batch into per-shard buckets by failure
-/// location.
-///
-/// Routing is stateless and deterministic — the same batch always produces the same
-/// buckets, and each bucket preserves the batch order of its entries. The location →
-/// shard map is the shared [`cv_inference::ShardRouter`] (the same partition the
-/// sharded invariant store and the snapshot plane use), so consecutive code addresses
-/// spread across shards and no plane can desync from another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DigestRouter {
-    router: cv_inference::ShardRouter,
-}
-
-impl DigestRouter {
-    /// A router over `shard_count` shards (at least 1).
-    pub fn new(shard_count: usize) -> Self {
-        DigestRouter {
-            router: cv_inference::ShardRouter::new(shard_count),
-        }
-    }
-
-    /// Number of shards routed to.
-    pub fn shard_count(&self) -> usize {
-        self.router.shard_count()
-    }
-
-    /// The shard owning `location`.
-    pub fn shard_of(&self, location: Addr) -> usize {
-        self.router.shard_of(location)
-    }
-
-    /// Partition one batch into per-shard buckets, preserving batch order within
-    /// every bucket.
-    pub fn route(
-        &self,
-        digests: impl IntoIterator<Item = RoutedDigest>,
-        failures: impl IntoIterator<Item = FailureEvent>,
-    ) -> Vec<ShardBucket> {
-        let mut buckets: Vec<ShardBucket> = (0..self.shard_count())
-            .map(|_| ShardBucket::default())
-            .collect();
-        for digest in digests {
-            buckets[self.shard_of(digest.location)].digests.push(digest);
-        }
-        for event in failures {
-            buckets[self.shard_of(event.failure.location)]
-                .failures
-                .push(event);
-        }
-        buckets
     }
 }
 
@@ -141,11 +83,11 @@ pub struct PlanOp {
 /// An ordered, deterministic set of fleet-wide patch operations — what one manager
 /// pass decided to push.
 ///
-/// Shards emit plans independently; [`PatchPlan::merge`] combines them under a
-/// canonical order (stable sort by failure location, preserving each location's
-/// directive order), so the merged plan is independent of shard count, worker count,
-/// and thread scheduling. Plans are `Serialize`/`Deserialize` (and `PartialEq`), so
-/// they can cross the wire protocol and be replayed from a recorded log.
+/// [`PatchPlan::merge`] puts plans in a canonical order (stable sort by failure
+/// location, preserving each location's directive order), so the fleet's plan is
+/// independent of worker count and thread scheduling. Plans are
+/// `Serialize`/`Deserialize` (and `PartialEq`), so they can cross the wire protocol
+/// and be replayed from a recorded log.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PatchPlan {
     ops: Vec<PlanOp>,
@@ -172,10 +114,9 @@ impl PatchPlan {
         }
     }
 
-    /// Merge per-shard plans into one canonical fleet-wide plan: concatenate, then
-    /// stable-sort by failure location. Per-location directive order is preserved
-    /// (each location lives in exactly one shard), so the result does not depend on
-    /// how the work was sharded.
+    /// Merge plans into one canonical plan: concatenate, then stable-sort by
+    /// failure location. Per-location directive order is preserved, so for plans
+    /// over disjoint locations the result does not depend on their order.
     pub fn merge(plans: impl IntoIterator<Item = PatchPlan>) -> PatchPlan {
         let mut ops: Vec<PlanOp> = plans.into_iter().flat_map(|p| p.ops).collect();
         ops.sort_by_key(|op| op.location);
@@ -314,11 +255,11 @@ impl NetPatchState {
     }
 }
 
-/// What one shard decided while processing its bucket.
+/// What the responders decided while processing one bucket.
 #[derive(Debug, Clone, Default)]
 pub struct ShardOutcome {
-    /// The patch operations the shard's responders emitted (per-location order
-    /// preserved; merge with [`PatchPlan::merge`]).
+    /// The patch operations the responders emitted, in emission order
+    /// ([`PatchPlan::merge`] gives the canonical order).
     pub plan: PatchPlan,
     /// Per-location `(source, observation count)` reports consumed this batch, in
     /// ascending location order.
@@ -327,15 +268,14 @@ pub struct ShardOutcome {
     pub started: Vec<Addr>,
 }
 
-/// The responders for one disjoint slice of failure locations.
+/// The manager's responder set: one [`FailureResponder`] per failure location.
 ///
-/// A shard is single-threaded state: it owns its responders outright and processes
-/// one bucket at a time. Parallelism comes from running *different* shards on
-/// different threads — they share nothing.
+/// The set is single-threaded state: it owns its responders outright and processes
+/// one bucket at a time. A deployment holds exactly one, as the paper's console does.
 ///
 /// **Community-attributed repair evaluation.** A crashed or completed run carries no
 /// failure location, so on its own it says nothing about *which* response it is
-/// evidence for. The shard therefore tracks, per location, the members that have
+/// evidence for. The set therefore tracks, per location, the members that have
 /// reported the failure there, and feeds unattributed outcomes (Completed / Crashed)
 /// to a responder only when they come from one of its reporters — the members whose
 /// workload demonstrably exercises the defect. Monitor-attributed failures are
@@ -351,27 +291,27 @@ pub struct ResponderShard {
 }
 
 impl ResponderShard {
-    /// An empty shard.
+    /// An empty responder set.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of failure locations with live responses on this shard.
+    /// Number of failure locations with live responses.
     pub fn len(&self) -> usize {
         self.responders.len()
     }
 
-    /// True if the shard owns no responders.
+    /// True if the set holds no responders.
     pub fn is_empty(&self) -> bool {
         self.responders.is_empty()
     }
 
-    /// The failure locations this shard owns, in ascending order.
+    /// The failure locations with a responder, in ascending order.
     pub fn locations(&self) -> impl Iterator<Item = Addr> + '_ {
         self.responders.keys().copied()
     }
 
-    /// The responder for `location`, if this shard owns one.
+    /// The responder for `location`, if there is one.
     pub fn get(&self, location: Addr) -> Option<&FailureResponder> {
         self.responders.get(&location)
     }
@@ -402,12 +342,12 @@ impl ResponderShard {
     /// Process one bucket: feed each digest to its responder (in bucket order) and
     /// start a response for each failure at a location without one.
     ///
-    /// **Batch semantics** (identical to the pre-shard engine): once a responder
-    /// emits directives mid-batch, the remaining digests of the same batch for that
-    /// location are dropped — they were produced under the patch configuration the
-    /// directives just replaced. Likewise a response started mid-batch consumes no
-    /// digests from the same batch (none exist: digests are only built for locations
-    /// that were active when the batch ran).
+    /// **Batch semantics**: once a responder emits directives mid-batch, the
+    /// remaining digests of the same batch for that location are dropped — they
+    /// were produced under the patch configuration the directives just replaced.
+    /// Likewise a response started mid-batch consumes no digests from the same
+    /// batch (none exist: digests are only built for locations that were active
+    /// when the batch ran).
     pub fn process(
         &mut self,
         bucket: ShardBucket,
@@ -503,58 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn routing_partitions_by_location_and_preserves_order() {
-        let router = DigestRouter::new(4);
-        let locations: Vec<Addr> = (0..32).map(|k| 0x1000 + k * 4).collect();
-        let digests: Vec<RoutedDigest> = locations
-            .iter()
-            .enumerate()
-            .map(|(i, &loc)| digest_for(i, loc))
-            .collect();
-        let buckets = router.route(digests, std::iter::empty());
-        assert_eq!(buckets.len(), 4);
-        let total: usize = buckets.iter().map(|b| b.digests.len()).sum();
-        assert_eq!(total, locations.len());
-        for (index, bucket) in buckets.iter().enumerate() {
-            // Every entry landed on the shard that owns its location...
-            for d in &bucket.digests {
-                assert_eq!(router.shard_of(d.location), index);
-            }
-            // ...and batch order is preserved within the bucket.
-            let sources: Vec<SourceId> = bucket.digests.iter().map(|d| d.source).collect();
-            let mut sorted = sources.clone();
-            sorted.sort_unstable();
-            assert_eq!(sources, sorted);
-        }
-    }
-
-    #[test]
-    fn routing_is_deterministic_and_spreads_shards() {
-        let router = DigestRouter::new(8);
-        let mut hit = [false; 8];
-        for k in 0..64 {
-            let loc = 0x2000 + k * 4;
-            assert_eq!(router.shard_of(loc), router.shard_of(loc));
-            hit[router.shard_of(loc)] = true;
-        }
-        assert!(
-            hit.iter().all(|&h| h),
-            "64 consecutive sites hit all 8 shards"
-        );
-    }
-
-    #[test]
-    fn single_shard_router_routes_everything_to_shard_zero() {
-        let router = DigestRouter::new(1);
-        let buckets = router.route(
-            (0..10).map(|k| digest_for(k, 0x100 + k as Addr)),
-            std::iter::empty(),
-        );
-        assert_eq!(buckets.len(), 1);
-        assert_eq!(buckets[0].digests.len(), 10);
-    }
-
-    #[test]
     fn plan_merge_is_canonical_and_stable() {
         let mut a = PatchPlan::new();
         a.push(0x300, Directive::RemoveChecks);
@@ -563,7 +451,7 @@ mod tests {
         let mut b = PatchPlan::new();
         b.push(0x200, Directive::RemoveRepair);
 
-        // Merge order of the per-shard plans must not matter.
+        // Merge order of plans over disjoint locations must not matter.
         let ab = PatchPlan::merge([a.clone(), b.clone()]);
         let ba = PatchPlan::merge([b, a]);
         assert_eq!(ab, ba);

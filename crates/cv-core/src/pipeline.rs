@@ -8,14 +8,13 @@
 //! produce, and accounts the simulated time of each response phase — the per-exploit
 //! breakdown reported in Table 3 of the paper.
 //!
-//! The single-machine pipeline is the degenerate manager deployment: one
-//! [`ResponderShard`], one digest source, one presentation per batch. The fleet
-//! engine (`cv-fleet`) drives many shards over the same plane in parallel; the
-//! manager-parity tests prove both produce identical decisions.
+//! The single-machine pipeline drives the same responder set as the fleet engine
+//! (`cv-fleet`): one [`ResponderShard`], here with one digest source and one
+//! presentation per batch.
 
 use crate::config::ClearViewConfig;
 use crate::manager::{
-    DigestRouter, FailureEvent, NetPatchState, PatchPlan, ResponderShard, RoutedDigest,
+    FailureEvent, NetPatchState, PatchPlan, ResponderShard, RoutedDigest, ShardBucket,
 };
 use crate::responder::{DigestStatus, Directive, FailureResponder, Phase, RepairReport, RunDigest};
 use cv_inference::{Invariant, LearnedModel, LearningFrontend};
@@ -202,8 +201,7 @@ pub struct ProtectedApplication {
     model: LearnedModel,
     config: ClearViewConfig,
     sim: SimTimeModel,
-    /// The degenerate manager plane: one shard owning every responder.
-    router: DigestRouter,
+    /// The manager plane: one responder per failure location.
     shard: ResponderShard,
     slots: BTreeMap<Addr, PatchSlot>,
     /// The net patch configuration installed on this machine — the durable state a
@@ -230,7 +228,6 @@ impl ProtectedApplication {
             model,
             config,
             sim: SimTimeModel::default(),
-            router: DigestRouter::new(1),
             shard: ResponderShard::new(),
             slots: BTreeMap::new(),
             net: NetPatchState::new(),
@@ -356,9 +353,9 @@ impl ProtectedApplication {
                 ),
             });
         }
-        let failure_events = match &result.status {
+        let failures = match &result.status {
             // A failure at a location ClearView has not seen before starts a new
-            // response (the shard ignores reports at locations it already owns).
+            // response (the responder set ignores reports at locations it has).
             RunStatus::Failure(failure) => vec![FailureEvent {
                 source: 0,
                 failure: failure.clone(),
@@ -366,12 +363,8 @@ impl ProtectedApplication {
             _ => Vec::new(),
         };
 
-        // Drive the (single-shard) manager plane and apply its patch plan.
-        let bucket = self
-            .router
-            .route(digests, failure_events)
-            .pop()
-            .expect("one bucket from one shard");
+        // Drive the manager plane and apply its patch plan.
+        let bucket = ShardBucket { digests, failures };
         let outcome = self.shard.process(bucket, &self.model, &self.config);
         for loc in &outcome.started {
             let mut timeline = AttackTimeline::new(*loc);

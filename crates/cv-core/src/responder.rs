@@ -6,7 +6,7 @@
 //! patches, classify correlations from the observations of subsequent failing runs,
 //! generate candidate repairs, and drive the repair evaluation loop — requesting patch
 //! installs and removals from whoever is executing the application (the single-machine
-//! pipeline in this crate, or the community management console in `cv-community`).
+//! pipeline in this crate, or the fleet's central manager in `cv-fleet`).
 
 use crate::config::ClearViewConfig;
 use crate::correlate::{candidate_invariants, classify, CandidateSet, Correlation};

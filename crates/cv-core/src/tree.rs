@@ -1,23 +1,23 @@
 //! The hierarchical manager tree.
 //!
-//! A flat manager merges every responder shard's patch plan in one step and pushes
-//! the result to every member directly — O(shards) merge work and an O(members)
-//! fan-out at a single coordinator. At 100k–1M members the single coordinator is
-//! the bottleneck: the paper's console (Section 3.2) pushes patches to every Node
-//! Manager itself, which is fine at tens of machines and absurd at a million.
+//! A flat manager pushes every patch plan to every member directly — an
+//! O(members) fan-out at a single coordinator. At 100k–1M members the single
+//! coordinator is the bottleneck: the paper's console (Section 3.2) pushes patches
+//! to every Node Manager itself, which is fine at tens of machines and absurd at a
+//! million.
 //!
-//! A [`ManagerTree`] organizes the same work as coordinators-of-coordinators with
-//! a fixed fan-out `F`: per-shard plans merge in groups of `F` per tier until one
-//! fleet-wide plan remains, and the push travels the tree downward tier by tier —
-//! every coordinator talks to at most `F` children, so per-node merge and push
-//! cost scales with `F` and the tree depth is `log_F`, not with the member count.
+//! A [`ManagerTree`] organizes the push as coordinators-of-coordinators with a
+//! fixed fan-out `F`: the push travels the tree downward tier by tier
+//! ([`ManagerTree::push_tiers`]), every coordinator talks to at most `F` children,
+//! and the tree depth is `log_F` of the member count. The fleet's tier-sync plane
+//! builds its rows of real coordinators from [`ManagerTree::coordinator_rows`].
 //!
-//! Because [`PatchPlan::merge`] concatenates and then **stably** sorts by failure
-//! location, merging is associative over ordered groupings: merging contiguous
-//! groups per tier and then merging the group results is byte-identical to the
-//! flat single-step merge. The tree therefore changes *where* the work happens,
-//! never *what* the fleet log records — `flat_and_tree_merges_agree` below and
-//! the fleet's manager-parity suite hold it to that.
+//! [`ManagerTree::merge_plans`] merges plans in groups of `F` per tier. Because
+//! [`PatchPlan::merge`] concatenates and then **stably** sorts by failure location,
+//! that is byte-identical to the flat single-step merge
+//! (`flat_and_tree_merges_agree` below). The fleet holds one responder set, so it
+//! has one plan per epoch and calls no tree merge; only the repository benchmark
+//! times it (`core.plan_merge_us`).
 
 use crate::manager::PatchPlan;
 
@@ -25,7 +25,7 @@ use crate::manager::PatchPlan;
 /// coordinators each merged at most `fanout` of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierMerge {
-    /// Tier number, 1 = the tier closest to the shards.
+    /// Tier number, 1 = the tier that merges the input plans.
     pub tier: u32,
     /// Coordinators active at this tier.
     pub groups: usize,
@@ -63,9 +63,13 @@ impl ManagerTree {
         self.fanout
     }
 
-    /// Merge per-shard plans tier by tier. The resulting plan is byte-identical
-    /// to `PatchPlan::merge(plans)` (stable sort makes grouping associative);
-    /// the per-tier stats record how the work spread across coordinators.
+    /// Merge plans tier by tier. The resulting plan is byte-identical to
+    /// `PatchPlan::merge(plans)` (stable sort makes grouping associative); the
+    /// per-tier stats record how the work spread across coordinators.
+    ///
+    /// No production path calls this: the fleet has one responder set and so one
+    /// plan per epoch. It is kept because the repository benchmark times it
+    /// (`core.plan_merge_us`).
     pub fn merge_plans(&self, mut plans: Vec<PatchPlan>) -> (PatchPlan, Vec<TierMerge>) {
         let mut tiers = Vec::new();
         let mut tier = 1u32;
@@ -169,7 +173,7 @@ mod tests {
 
     #[test]
     fn flat_and_tree_merges_agree() {
-        // Overlapping locations across shards: stability of the op order among
+        // Overlapping locations across plans: stability of the op order among
         // equal locations is exactly what byte-identity requires.
         let plans = vec![
             plan(&[0x300, 0x100]),

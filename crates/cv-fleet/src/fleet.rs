@@ -1,28 +1,28 @@
-//! The fleet engine: the sharded ClearView manager for a large application community.
+//! The fleet engine: the ClearView manager for a large application community.
 //!
 //! A [`Fleet`] owns the member-execution engine (an [`EventEngine`]), the
-//! sharded community invariant store, the *sharded manager plane* (a
-//! [`ResponderShard`] per slice of failure locations, fed by a pure
-//! [`DigestRouter`]), the batched console log, and the fleet metrics. Execution is
-//! epoch-batched: the caller schedules a batch of presentations, workers run them in
-//! parallel, the manager routes the resulting digests into per-shard buckets, the
-//! shards drive their responders one after another on the calling thread, and the
-//! per-shard patch plans merge — deterministically, by failure location — into one
-//! fleet-wide [`PatchPlan`] pushed to every member at the epoch boundary.
+//! sharded community invariant store, the manager's responder set (one
+//! [`ResponderShard`], holding a responder per failure location), the batched
+//! console log, and the fleet metrics. Execution is epoch-batched: the caller
+//! schedules a batch of presentations, workers run them in parallel, the manager
+//! collects the resulting digests and failure reports in batch order, the responders
+//! consume them on the calling thread, and their patch operations — in canonical
+//! failure-location order — form one fleet-wide [`PatchPlan`] pushed to every member
+//! at the epoch boundary.
 //!
 //! **Batching semantics.** Within an epoch every member executes under the patch
 //! configuration established at the previous boundary. The manager therefore feeds a
 //! responder only digests consistent with that configuration: once a responder emits
 //! directives mid-batch (its expected configuration changed), the remaining digests of
 //! the same epoch for that location are dropped — they were produced under the old
-//! patches. With one presentation per epoch this degenerates to exactly the seed
-//! `cv-community` protocol, which is how the small-N facade preserves the paper's
+//! patches. With one presentation per epoch this degenerates to exactly the seed's
+//! sequential community protocol, which is how a small fleet preserves the paper's
 //! presentation counts (e.g. four presentations to a patch).
 //!
-//! **Determinism.** Every shard processes its bucket in batch order and shares no
-//! state with any other shard, and [`PatchPlan::merge`] imposes a canonical op order.
-//! A fleet therefore writes a byte-identical [`BatchLog`] whether its manager runs on
-//! one thread or many, with one shard or many — `tests/manager_parity.rs` proves it.
+//! **Determinism.** The responders process the batch in batch order and
+//! [`PatchPlan::merge`] imposes a canonical op order. A fleet therefore writes a
+//! byte-identical [`BatchLog`] whether its members run on one worker thread or many
+//! — `tests/manager_parity.rs` proves it.
 
 use crate::engine::EventEngine;
 use crate::metrics::{FleetMetrics, MetricEvent};
@@ -34,8 +34,8 @@ use crate::transport::{
     TransportKind, TransportStats, COORDINATOR,
 };
 use cv_core::{
-    ClearViewConfig, DigestRouter, FailureEvent, FailureResponder, ManagerTree, NetPatchState,
-    PatchPlan, Phase, RepairReport, ResponderShard, RoutedDigest, ShardBucket, ShardOutcome,
+    ClearViewConfig, FailureEvent, FailureResponder, ManagerTree, NetPatchState, PatchPlan, Phase,
+    RepairReport, ResponderShard, RoutedDigest, ShardBucket, ShardOutcome,
 };
 use cv_inference::{InvariantDatabase, LearnedModel, ProcedureDatabase};
 use cv_isa::{Addr, BinaryImage, Word};
@@ -45,7 +45,6 @@ use cv_store::{DeltaBuilder, DeltaSnapshot, Envelope, EnvelopePayload, Snapshot}
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Rounds of ack-driven retransmit before the fleet gives up on the unacked
 /// peers for this phase. Partitioned members are rolled back and re-synced by
@@ -66,15 +65,12 @@ pub struct FleetConfig {
     pub worker_count: usize,
     /// Shards of the community invariant store.
     pub shard_count: usize,
-    /// Shards of the manager plane (responder state partitioned by failure
-    /// location). 1 reproduces the seed's central manager exactly.
-    pub manager_shard_count: usize,
     /// Monitor configuration for every member.
     pub monitors: MonitorConfig,
-    /// Fan-out of the hierarchical manager tree (0 or 1 = flat merge and push,
-    /// the seed's single coordinator). With a fan-out of `F`, per-shard plans
-    /// merge in groups of `F` per tier and the push is accounted tier by tier —
-    /// the merged plan itself is byte-identical either way.
+    /// Fan-out of the hierarchical manager tree (0 or 1 = flat push, the seed's
+    /// single coordinator). With a fan-out of `F`, the push is accounted tier by
+    /// tier and tier coordinators serve member syncs; the plan itself is the same
+    /// either way.
     pub tree_fanout: usize,
     /// The transport every coordinator↔member exchange crosses (in-process
     /// queues by default; a loopback socket or the seeded chaos wrapper).
@@ -82,14 +78,13 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Defaults for `node_count` members: auto worker count, 8 store shards, 8
-    /// manager shards, full monitors.
+    /// Defaults for `node_count` members: auto worker count, 8 store shards, full
+    /// monitors.
     pub fn new(node_count: usize) -> Self {
         FleetConfig {
             node_count,
             worker_count: 0,
             shard_count: 8,
-            manager_shard_count: 8,
             monitors: MonitorConfig::full(),
             tree_fanout: 0,
             transport: TransportKind::default(),
@@ -108,12 +103,6 @@ impl FleetConfig {
         self
     }
 
-    /// Override the manager-plane shard count.
-    pub fn with_manager_shards(mut self, manager_shard_count: usize) -> Self {
-        self.manager_shard_count = manager_shard_count.max(1);
-        self
-    }
-
     /// Override the monitor configuration.
     pub fn with_monitors(mut self, monitors: MonitorConfig) -> Self {
         self.monitors = monitors;
@@ -121,7 +110,7 @@ impl FleetConfig {
     }
 
     /// Force sequential execution: one worker partition, no threads, no worker-pool
-    /// setup. The manager shards are likewise driven inline on the calling thread.
+    /// setup.
     pub fn sequential(self) -> Self {
         self.with_workers(1)
     }
@@ -183,7 +172,7 @@ impl EpochOutcome {
     }
 }
 
-/// A sharded, parallel application community under ClearView protection.
+/// A parallel application community under ClearView protection.
 pub struct Fleet {
     image: BinaryImage,
     config: ClearViewConfig,
@@ -191,9 +180,9 @@ pub struct Fleet {
     engine: EventEngine,
     store: ShardedInvariantStore,
     model: LearnedModel,
-    router: DigestRouter,
-    manager_shards: Vec<ResponderShard>,
-    /// Fan-out of the hierarchical manager tree (0 or 1 = flat merge and push).
+    /// The manager's responders, one per failure location.
+    responders: ResponderShard,
+    /// Fan-out of the hierarchical manager tree (0 or 1 = flat push).
     tree_fanout: usize,
     log: BatchLog,
     /// The accounting event stream — the source of truth the [`FleetMetrics`]
@@ -361,7 +350,6 @@ impl Fleet {
             fleet_config.node_count,
             fleet_config.worker_count,
         );
-        let manager_shard_count = fleet_config.manager_shard_count.max(1);
         let (transport, chaos) = fleet_config.transport.build();
         let lossy = transport.is_lossy();
         Fleet {
@@ -374,14 +362,11 @@ impl Fleet {
             image,
             config,
             engine,
-            router: DigestRouter::new(manager_shard_count),
-            manager_shards: (0..manager_shard_count)
-                .map(|_| ResponderShard::new())
-                .collect(),
+            responders: ResponderShard::new(),
             tree_fanout: fleet_config.tree_fanout,
             log: BatchLog::new(),
             metric_log: Vec::new(),
-            metrics: FleetMetrics::with_manager_shards(manager_shard_count),
+            metrics: FleetMetrics::default(),
             obs_id: NEXT_FLEET_OBS_ID.fetch_add(1, Ordering::Relaxed),
             epoch: 0,
             net: NetPatchState::new(),
@@ -437,8 +422,7 @@ impl Fleet {
         fleet.engine.apply_plan(&bootstrap);
         for op in bootstrap.ops() {
             if let cv_core::Directive::InstallRepair(repair) = &op.directive {
-                let shard = fleet.router.shard_of(op.location);
-                fleet.manager_shards[shard].adopt(
+                fleet.responders.adopt(
                     op.location,
                     FailureResponder::restored(op.location, repair.clone(), config),
                     std::iter::empty(),
@@ -485,11 +469,6 @@ impl Fleet {
         self.store.shard_count()
     }
 
-    /// Number of shards in the manager plane.
-    pub fn manager_shard_count(&self) -> usize {
-        self.manager_shards.len()
-    }
-
     /// The batched console log.
     pub fn log(&self) -> &BatchLog {
         &self.log
@@ -501,7 +480,7 @@ impl Fleet {
     }
 
     /// The accounting event stream the metrics are derived from, in order.
-    /// `FleetMetrics::from_events(self.manager_shard_count(), log)` reproduces
+    /// `FleetMetrics::from_events(log)` reproduces
     /// [`Fleet::metrics`] exactly.
     pub fn metric_log(&self) -> &[MetricEvent] {
         &self.metric_log
@@ -1439,21 +1418,17 @@ impl Fleet {
     }
 
     /// Maintainer-facing reports for every failure the fleet has responded to, in
-    /// ascending failure-location order (regardless of which shard owns each).
+    /// ascending failure-location order.
     pub fn reports(&self) -> Vec<RepairReport> {
-        let mut reports: Vec<RepairReport> = self
-            .manager_shards
-            .iter()
-            .flat_map(|s| s.responders().map(|(_, r)| r.report()))
-            .collect();
-        reports.sort_by_key(|r| r.failure_location);
-        reports
+        self.responders
+            .responders()
+            .map(|(_, r)| r.report())
+            .collect()
     }
 
-    /// The responder for `location`, if the fleet has one (on whichever manager
-    /// shard owns the location).
+    /// The responder for `location`, if the fleet has one.
     fn responder(&self, location: Addr) -> Option<&cv_core::FailureResponder> {
-        self.manager_shards[self.router.shard_of(location)].get(location)
+        self.responders.get(location)
     }
 
     /// True if a successful repair is distributed for the failure at `location`.
@@ -1569,10 +1544,9 @@ impl Fleet {
         self.state_version += 1;
     }
 
-    /// Execute one epoch: run `presentations` across the fleet in parallel, route
-    /// the digests into per-shard manager buckets, drive the responder shards one
-    /// after another, merge their patch plans, and push the merged plan to every
-    /// member.
+    /// Execute one epoch: run `presentations` across the fleet in parallel, feed
+    /// the digests and failure reports to the manager's responders, and push the
+    /// patch plan they emit to every member.
     pub fn run_epoch(&mut self, presentations: &[Presentation]) -> EpochOutcome {
         self.run_epoch_churn(presentations, &[])
     }
@@ -1589,11 +1563,7 @@ impl Fleet {
         self.epoch += 1;
         let epoch = self.epoch;
         self.store.begin_epoch(epoch);
-        let active: Vec<Addr> = self
-            .manager_shards
-            .iter()
-            .flat_map(|s| s.locations())
-            .collect();
+        let active: Vec<Addr> = self.responders.locations().collect();
 
         // Every presentation crosses the transport; what the members actually
         // received (everything, on a lossless backend) is what runs.
@@ -1619,13 +1589,10 @@ impl Fleet {
             .arg("fleet", self.obs_id)
             .arg("epoch", epoch);
 
-        // Pure routing: every digest and failure event goes straight into the
-        // bucket of the shard owning its failure location, in batch order.
+        // Every digest and failure event goes into the manager's bucket, in batch
+        // order.
         let routing_span = recorder().span("fleet.routing", "fleet");
-        let mut buckets: Vec<ShardBucket> = (0..self.manager_shards.len())
-            .map(|_| ShardBucket::default())
-            .collect();
-        let mut digest_count = 0u64;
+        let mut bucket = ShardBucket::default();
         let mut failures: Vec<(NodeId, Addr)> = Vec::new();
         for record in &mut records {
             if matches!(record.status, RunStatus::Completed) {
@@ -1641,15 +1608,12 @@ impl Fleet {
                 // patches — the membership-level mid-batch reconfiguration rule.
                 record.digests.clear();
             }
-            digest_count += record.digests.len() as u64;
             for (location, digest) in record.digests.drain(..) {
-                buckets[self.router.shard_of(location)]
-                    .digests
-                    .push(RoutedDigest {
-                        source: record.node,
-                        location,
-                        digest,
-                    });
+                bucket.digests.push(RoutedDigest {
+                    source: record.node,
+                    location,
+                    digest,
+                });
             }
             if let Some(failure) = &record.failure {
                 failures.push((record.node, failure.location));
@@ -1670,87 +1634,36 @@ impl Fleet {
                     location: failure.location,
                     epoch,
                 });
-                buckets[self.router.shard_of(failure.location)]
-                    .failures
-                    .push(FailureEvent {
-                        source: record.node,
-                        failure: failure.clone(),
-                    });
+                bucket.failures.push(FailureEvent {
+                    source: record.node,
+                    failure: failure.clone(),
+                });
             }
         }
         routing_span
             .arg("fleet", self.obs_id)
             .arg("epoch", epoch)
-            .arg("digests", digest_count)
+            .arg("digests", bucket.digests.len() as u64)
             .arg("failures", failures.len() as u64)
             .finish();
 
-        // Drive each responder shard over its bucket; per-shard busy time is
-        // measured around each shard.
+        // The responders consume the bucket on the calling thread: a manager pass
+        // is tens of microseconds, about what a spawned thread takes to start.
         let fanout_span = recorder()
             .timed_span("fleet.manager_fanout", "fleet")
             .arg("fleet", self.obs_id)
-            .arg("epoch", epoch)
-            .arg("shards", self.manager_shards.len() as u64);
-        let outcomes = drive_shards(
-            &mut self.manager_shards,
-            buckets,
-            &self.model,
-            &self.config,
-            self.obs_id,
-            epoch,
-        );
+            .arg("epoch", epoch);
+        let ShardOutcome {
+            plan,
+            observations,
+            started: _,
+        } = self.responders.process(bucket, &self.model, &self.config);
         let fanout = fanout_span.finish();
 
-        // Deterministic merge: per-shard plans collapse into one canonically ordered
-        // fleet-wide plan; observation reports merge by (disjoint) location.
+        // Canonical op order: a stable sort by failure location, which keeps each
+        // location's directive order.
         let merge_span = recorder().span("fleet.plan_merge", "fleet");
-        let mut shard_busy = vec![Duration::ZERO; self.manager_shards.len()];
-        let mut plans: Vec<PatchPlan> = Vec::with_capacity(outcomes.len());
-        let mut observation_batches: BTreeMap<Addr, Vec<(NodeId, usize)>> = BTreeMap::new();
-        for (index, (outcome, busy)) in outcomes.into_iter().enumerate() {
-            shard_busy[index] = busy;
-            let ShardOutcome {
-                plan,
-                observations,
-                started: _,
-            } = outcome;
-            plans.push(plan);
-            for (location, reports) in observations {
-                observation_batches.insert(location, reports);
-            }
-        }
-        // With a manager tree configured, per-shard plans merge in groups of
-        // `tree_fanout` per tier (coordinators-of-coordinators); the stable
-        // location sort makes the result byte-identical to the flat merge, so
-        // only the accounting differs.
-        let plan = if self.tree_fanout >= 2 && plans.len() > 1 {
-            let tree = ManagerTree::new(self.tree_fanout);
-            let (plan, tiers) = tree.merge_plans(plans);
-            if !plan.is_empty() {
-                for t in &tiers {
-                    self.record(MetricEvent::TierMerge {
-                        tier: t.tier as u64,
-                        groups: t.groups as u64,
-                        plans_in: t.plans_in as u64,
-                    });
-                    recorder().instant(
-                        "fleet.tier_merge",
-                        "fleet",
-                        &[
-                            ("fleet", self.obs_id),
-                            ("epoch", epoch),
-                            ("tier", t.tier as u64),
-                            ("groups", t.groups as u64),
-                            ("plans_in", t.plans_in as u64),
-                        ],
-                    );
-                }
-            }
-            plan
-        } else {
-            PatchPlan::merge(plans)
-        };
+        let plan = PatchPlan::merge([plan]);
         // On a lossy transport the push below may not reach everyone: keep the
         // pre-push net configuration so an unreachable member can be rolled
         // back to exactly the state it actually still holds.
@@ -1777,7 +1690,7 @@ impl Fleet {
         // Batch order mirrors the seed's within-browse order as far as batching
         // allows: observation reports first, then failure notifications, then the
         // patch plan (the seed interleaves pushes per location; a batch cannot).
-        for (location, reports) in observation_batches {
+        for (location, reports) in observations {
             self.log.push(FleetMessage::Observations {
                 epoch,
                 location,
@@ -1897,9 +1810,8 @@ impl Fleet {
         self.dedupe.retire_below(epoch);
 
         let newly_protected: Vec<Addr> = self
-            .manager_shards
-            .iter()
-            .flat_map(|shard| shard.responders())
+            .responders
+            .responders()
             .filter(|(loc, responder)| {
                 responder.is_protected()
                     && self
@@ -1932,7 +1844,7 @@ impl Fleet {
             execution,
             manager,
         });
-        self.record(MetricEvent::ManagerFanout { shard_busy, fanout });
+        self.record(MetricEvent::ManagerFanout { fanout });
         self.record(MetricEvent::MemberResidency {
             resident_bytes: self.engine.resident_state_bytes(),
             shared_bytes: self.engine.shared_state_bytes(),
@@ -1982,8 +1894,8 @@ impl Fleet {
         }
     }
 
-    /// Convenience single-presentation epoch (the facade path): present `page` to
-    /// `node` and return its outcome.
+    /// Convenience single-presentation epoch — the seed's sequential community
+    /// protocol: present `page` to `node` and return its outcome.
     pub fn present(&mut self, node: NodeId, page: &[Word]) -> MemberOutcome {
         assert!(node < self.node_count(), "unknown node {node}");
         let mut outcome = self.run_epoch(&[Presentation::new(node, page)]);
@@ -2011,52 +1923,6 @@ impl SyncSource for Fleet {
             encoded: Arc::clone(&cache.encoded),
         }
     }
-}
-
-/// Drive every responder shard over its bucket on the calling thread, returning
-/// each shard's outcome and busy time in shard-index order. Shards are mutually
-/// independent and individually deterministic. A manager pass is tens of
-/// microseconds, about what a spawned thread takes to start, so it spawns none.
-fn drive_shards(
-    shards: &mut [ResponderShard],
-    buckets: Vec<ShardBucket>,
-    model: &LearnedModel,
-    config: &ClearViewConfig,
-    obs_id: u64,
-    epoch: u64,
-) -> Vec<(ShardOutcome, Duration)> {
-    debug_assert_eq!(shards.len(), buckets.len());
-    shards
-        .iter_mut()
-        .zip(buckets)
-        .enumerate()
-        .map(|(index, (shard, bucket))| {
-            process_timed(shard, bucket, model, config, obs_id, epoch, index as u64)
-        })
-        .collect()
-}
-
-/// Process one bucket on one shard, measuring the shard's busy time. The busy
-/// time the metrics fold and the `fleet.manager_shard` span the trace shows are
-/// one measurement.
-fn process_timed(
-    shard: &mut ResponderShard,
-    bucket: ShardBucket,
-    model: &LearnedModel,
-    config: &ClearViewConfig,
-    obs_id: u64,
-    epoch: u64,
-    shard_index: u64,
-) -> (ShardOutcome, Duration) {
-    let events = (bucket.digests.len() + bucket.failures.len()) as u64;
-    let span = recorder()
-        .timed_span("fleet.manager_shard", "fleet")
-        .arg("fleet", obs_id)
-        .arg("epoch", epoch)
-        .arg("shard", shard_index)
-        .arg("events", events);
-    let outcome = shard.process(bucket, model, config);
-    (outcome, span.finish())
 }
 
 #[cfg(test)]
@@ -2094,22 +1960,6 @@ mod tests {
             FleetConfig::new(64).with_workers(8).sequential(),
         );
         assert_eq!(fleet.worker_count(), 1);
-    }
-
-    #[test]
-    fn manager_shard_count_is_configurable_and_at_least_one() {
-        let fleet = Fleet::new(
-            tiny_image(),
-            ClearViewConfig::default(),
-            FleetConfig::new(4).with_manager_shards(3),
-        );
-        assert_eq!(fleet.manager_shard_count(), 3);
-        let fleet = Fleet::new(
-            tiny_image(),
-            ClearViewConfig::default(),
-            FleetConfig::new(4).with_manager_shards(0),
-        );
-        assert_eq!(fleet.manager_shard_count(), 1);
     }
 
     /// Which bases the store's dirty tracker covers, and so which cuts read

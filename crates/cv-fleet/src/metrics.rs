@@ -4,7 +4,7 @@
 //! community scale the interesting quantities are aggregates: how many pages per
 //! second the fleet sustains, how long an exploit takes from first detection to
 //! community-wide immunity, how quickly a patch push reaches every member, and
-//! where the sharded manager plane spends its time (per-shard busy time).
+//! how much time the manager plane takes per epoch.
 //!
 //! Since PR 6 the fleet does not mutate counters ad hoc: every accountable
 //! occurrence is a [`MetricEvent`] appended to the fleet's metric log, and
@@ -35,14 +35,12 @@ pub enum MetricEvent {
         pages: u64,
         /// Wall-clock time of the member-execution fan-out.
         execution: Duration,
-        /// Wall-clock time of the manager plane (routing, shards, plan merge).
+        /// Wall-clock time of the manager plane (bucketing, responders, plan order).
         manager: Duration,
     },
-    /// One epoch's manager shard fan-out.
+    /// One epoch's responder pass.
     ManagerFanout {
-        /// Busy time of each manager shard this epoch.
-        shard_busy: Vec<Duration>,
-        /// Wall time of the fan-out section.
+        /// Wall time of the responders consuming the epoch's bucket.
         fanout: Duration,
     },
     /// One patch-push round reaching `members` members.
@@ -119,21 +117,12 @@ pub enum MetricEvent {
         members: u64,
     },
     // --- Tier plane -------------------------------------------------------
-    // One naming scheme for everything the manager tree does: `TierMerge`
-    // (upward plan merge), `TierPush` (downward plan fan-out), and `TierSync`
-    // (state sync served from a tier coordinator instead of the root).
+    // One naming scheme for everything the manager tree does: `TierPush`
+    // (downward plan fan-out) and `TierSync` (state sync served from a tier
+    // coordinator instead of the root).
     // `RootSyncBypass` counts syncs that *should* have been tier-served but
     // read root state directly — zero whenever the tier plane is active.
-    /// One tier of the hierarchical manager tree merged patch plans.
-    TierMerge {
-        /// Tier number, 1 = closest to the responder shards.
-        tier: u64,
-        /// Coordinators active at this tier.
-        groups: u64,
-        /// Plans entering this tier.
-        plans_in: u64,
-    },
-    /// One tier of the hierarchical manager tree forwarded the merged plan.
+    /// One tier of the hierarchical manager tree forwarded the epoch's plan.
     TierPush {
         /// Tier number, 1 = closest to the root coordinator.
         tier: u64,
@@ -228,14 +217,12 @@ pub struct FleetMetrics {
     pub pages_processed: u64,
     /// Wall-clock time spent executing member runs (the parallel section).
     pub execution_time: Duration,
-    /// Wall-clock time spent in the manager plane overall (routing, responder
-    /// shards, plan merge).
+    /// Wall-clock time spent in the manager plane overall (bucketing, responders,
+    /// plan order).
     pub manager_time: Duration,
-    /// Wall-clock time of the shard fan-out section of the manager (every shard
-    /// driven over its bucket).
+    /// Wall-clock time of the responder pass of the manager (the responders
+    /// consuming each epoch's bucket).
     pub manager_fanout_time: Duration,
-    /// Per-manager-shard busy time (accumulated across epochs).
-    manager_shard_busy: Vec<Duration>,
     /// Wall-clock time spent distributing patches to members.
     pub patch_propagation_time: Duration,
     /// Patch pushes distributed (one push reaches every member).
@@ -278,9 +265,6 @@ pub struct FleetMetrics {
     pub shared_state_bytes_last: u64,
     /// Members covered by the most recent residency event.
     pub residency_members_last: u64,
-    /// Manager-tree merge tiers recorded (one event per tier per epoch with a
-    /// non-empty plan).
-    pub tier_merges: u64,
     /// Manager-tree push tiers recorded.
     pub tier_pushes: u64,
     /// Depth of the most recent tree push (0 = flat, no tree configured).
@@ -328,14 +312,6 @@ pub struct FleetMetrics {
 }
 
 impl FleetMetrics {
-    /// Metrics for a fleet whose manager plane has `manager_shard_count` shards.
-    pub(crate) fn with_manager_shards(manager_shard_count: usize) -> Self {
-        FleetMetrics {
-            manager_shard_busy: vec![Duration::ZERO; manager_shard_count.max(1)],
-            ..Default::default()
-        }
-    }
-
     /// Fold one event into the aggregate.
     pub fn apply(&mut self, event: &MetricEvent) {
         match event {
@@ -349,14 +325,7 @@ impl FleetMetrics {
                 self.execution_time += *execution;
                 self.manager_time += *manager;
             }
-            MetricEvent::ManagerFanout { shard_busy, fanout } => {
-                if self.manager_shard_busy.len() < shard_busy.len() {
-                    self.manager_shard_busy
-                        .resize(shard_busy.len(), Duration::ZERO);
-                }
-                for (total, busy) in self.manager_shard_busy.iter_mut().zip(shard_busy) {
-                    *total += *busy;
-                }
+            MetricEvent::ManagerFanout { fanout } => {
                 self.manager_fanout_time += *fanout;
             }
             MetricEvent::PatchPush {
@@ -422,7 +391,6 @@ impl FleetMetrics {
                 self.shared_state_bytes_last = *shared_bytes;
                 self.residency_members_last = *members;
             }
-            MetricEvent::TierMerge { .. } => self.tier_merges += 1,
             MetricEvent::TierPush { tier, .. } => {
                 self.tier_pushes += 1;
                 self.tier_depth_last = self.tier_depth_last.max(*tier);
@@ -472,14 +440,11 @@ impl FleetMetrics {
         }
     }
 
-    /// Fold a whole stream from scratch. With the same `manager_shard_count` and
-    /// the fleet's metric log, this reproduces the fleet's incrementally-folded
-    /// aggregate exactly (asserted by `tests/obs_accounting.rs`).
-    pub fn from_events<'a>(
-        manager_shard_count: usize,
-        events: impl IntoIterator<Item = &'a MetricEvent>,
-    ) -> Self {
-        let mut metrics = FleetMetrics::with_manager_shards(manager_shard_count);
+    /// Fold a whole stream from scratch. Over the fleet's metric log, this
+    /// reproduces the fleet's incrementally-folded aggregate exactly (asserted by
+    /// `tests/obs_accounting.rs`).
+    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a MetricEvent>) -> Self {
+        let mut metrics = FleetMetrics::default();
         for event in events {
             metrics.apply(event);
         }
@@ -570,11 +535,6 @@ impl FleetMetrics {
         }
     }
 
-    /// Per-manager-shard busy time accumulated across epochs.
-    pub fn manager_shard_times(&self) -> &[Duration] {
-        &self.manager_shard_busy
-    }
-
     /// Mean manager-plane time per epoch, in milliseconds.
     pub fn manager_ms_per_epoch(&self) -> f64 {
         if self.epochs == 0 {
@@ -603,8 +563,8 @@ impl FleetMetrics {
              {indent}  \"dirty_shards_last\": {},\n\
              {indent}  \"dirty_shards_total\": {},\n{indent}  \"plan_dirty_shards_last\": {},\n\
              {indent}  \"member_state_bytes\": {},\n{indent}  \"shared_state_bytes\": {},\n\
-             {indent}  \"bytes_per_member\": {:.1},\n{indent}  \"tier_merges\": {},\n\
-             {indent}  \"tier_pushes\": {},\n{indent}  \"tier_depth\": {},\n\
+             {indent}  \"bytes_per_member\": {:.1},\n{indent}  \"tier_pushes\": {},\n\
+             {indent}  \"tier_depth\": {},\n\
              {indent}  \"tier_delta_cuts\": {},\n{indent}  \"tier_sync_bytes\": {},\n\
              {indent}  \"root_sync_bypass_count\": {},\n\
              {indent}  \"root_sync_bypass_share\": {:.3},\n\
@@ -641,7 +601,6 @@ impl FleetMetrics {
             self.member_state_bytes_last,
             self.shared_state_bytes_last,
             self.bytes_per_member(),
-            self.tier_merges,
             self.tier_pushes,
             self.tier_depth_last,
             self.tier_delta_cuts,
@@ -683,18 +642,9 @@ impl fmt::Display for FleetMetrics {
         )?;
         writeln!(
             f,
-            "  manager plane: {:.3} ms/epoch, {} shard(s)",
-            self.manager_ms_per_epoch(),
-            self.manager_shard_busy.len()
+            "  manager plane: {:.3} ms/epoch",
+            self.manager_ms_per_epoch()
         )?;
-        if self.manager_shard_busy.iter().any(|d| !d.is_zero()) {
-            let per_shard: Vec<String> = self
-                .manager_shard_busy
-                .iter()
-                .map(|d| format!("{:.3}ms", d.as_secs_f64() * 1e3))
-                .collect();
-            writeln!(f, "  manager shard busy: [{}]", per_shard.join(", "))?;
-        }
         writeln!(
             f,
             "  patches: {} pushes, {} member applications{}",
@@ -719,8 +669,8 @@ impl fmt::Display for FleetMetrics {
         if self.tier_pushes > 0 {
             writeln!(
                 f,
-                "  manager tree: {} merge tier(s), {} push tier(s), depth {}",
-                self.tier_merges, self.tier_pushes, self.tier_depth_last
+                "  manager tree: {} push tier(s), depth {}",
+                self.tier_pushes, self.tier_depth_last
             )?;
         }
         if self.tier_sync_bytes > 0 || self.root_sync_bypass_count > 0 {
@@ -877,7 +827,6 @@ mod tests {
                 manager: Duration::from_millis(1),
             },
             MetricEvent::ManagerFanout {
-                shard_busy: vec![Duration::from_micros(300), Duration::from_micros(500)],
                 fanout: Duration::from_micros(450),
             },
             MetricEvent::Snapshot { bytes: 2048 },
@@ -892,11 +841,11 @@ mod tests {
             MetricEvent::JoinerImmunity { epochs: 2 },
             MetricEvent::LearningPages { pages: 64 },
         ];
-        let mut incremental = FleetMetrics::with_manager_shards(2);
+        let mut incremental = FleetMetrics::default();
         for e in &events {
             incremental.apply(e);
         }
-        let replayed = FleetMetrics::from_events(2, &events);
+        let replayed = FleetMetrics::from_events(&events);
         assert_eq!(incremental, replayed);
         assert_eq!(replayed.crashes, 1);
         assert_eq!(replayed.learning_pages, 64);

@@ -1,29 +1,27 @@
-//! The batched fleet wire protocol.
+//! The batched fleet console log.
 //!
-//! `cv-community::Message` records one console message per event — one upload per
-//! member, one notification per failure, one push per patch. At community scale that
-//! protocol is the bottleneck: a 10,000-member fleet uploading invariants would cross
-//! the management console's SSL channels 10,000 times per learning round (Section 3 of
-//! the paper describes exactly this console). The fleet protocol instead moves
-//! *batches*: everything of one kind that happened in one epoch travels as a single
-//! message, and patch pushes carry the epoch's shard-merged [`PatchPlan`] once,
-//! regardless of how many members receive it.
+//! The seed's community recorded one console message per event — one upload per
+//! member, one notification per failure, one push per patch. At community scale the
+//! fleet batches instead: everything of one kind that happened in one epoch is
+//! recorded as a single [`FleetMessage`], and a patch push carries the epoch's
+//! [`PatchPlan`] once, regardless of how many members receive it. What actually
+//! crosses the transport are `Envelope`s (`transport.rs`); this log is the protocol
+//! *history* the parity tests compare.
 //!
 //! Messages carry counts, patch plans, and patch descriptions, not raw databases —
 //! mirroring the paper's observation that the invariant database, not trace data, is
-//! what crosses the network. [`FleetMessage::batched_wire_words`] /
-//! [`FleetMessage::unbatched_wire_words`] quantify what batching saves.
+//! what crosses the network.
 //!
-//! Because every shard's manager pass is deterministic and [`PatchPlan::merge`]
-//! imposes a canonical op order, the log a fleet writes is *byte-identical* whether
-//! the manager ran sharded-parallel or sequentially — the manager-parity tests
-//! compare entire [`BatchLog`]s across configurations.
+//! Because the manager pass is deterministic and [`PatchPlan::merge`] imposes a
+//! canonical op order, the log a fleet writes is *byte-identical* whether its
+//! members ran on one worker thread or many — the manager-parity tests compare
+//! entire [`BatchLog`]s across configurations.
 
-use cv_core::{Directive, PatchPlan};
+use cv_core::PatchPlan;
 use cv_isa::Addr;
 use serde::{Deserialize, Serialize};
 
-/// Identifies a fleet member (compatible with `cv-community::NodeId`).
+/// Identifies a fleet member.
 pub type NodeId = usize;
 
 /// One page presentation scheduled for one member.
@@ -45,47 +43,11 @@ impl Presentation {
     }
 }
 
-/// The log-friendly summary of one patch-plan operation (the payload itself is a
-/// [`Directive`] inside the plan).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PatchPushKind {
-    /// Invariant-checking patches were pushed.
-    InstallChecks {
-        /// Number of invariants checked.
-        invariants: usize,
-    },
-    /// Checking patches were removed.
-    RemoveChecks,
-    /// A candidate repair was pushed.
-    InstallRepair {
-        /// Human-readable description of the repair.
-        description: String,
-    },
-    /// A repair was removed.
-    RemoveRepair,
-}
-
-impl PatchPushKind {
-    /// The summary for a directive.
-    pub fn of(directive: &Directive) -> Self {
-        match directive {
-            Directive::InstallChecks(checks) => PatchPushKind::InstallChecks {
-                invariants: checks.len(),
-            },
-            Directive::RemoveChecks => PatchPushKind::RemoveChecks,
-            Directive::InstallRepair(repair) => PatchPushKind::InstallRepair {
-                description: repair.description(),
-            },
-            Directive::RemoveRepair => PatchPushKind::RemoveRepair,
-        }
-    }
-}
-
 /// A batched protocol message, as recorded in the fleet console log.
 ///
 /// Each variant aggregates everything of its kind that happened in one epoch (or one
-/// learning round); the `cv-community` facade expands these back into the legacy
-/// per-event [`cv_community::Message`](../cv_community) stream for compatibility.
+/// learning round). A patch push's operations, with their failure locations, are
+/// `plan.ops()`.
 ///
 /// Messages are deliberately **sync-source-agnostic**: a [`Bootstrap`] or
 /// [`DeltaSync`] record is the same whether the payload was served by the root
@@ -123,14 +85,14 @@ pub enum FleetMessage {
         /// `(member, observation count)` per reporting member.
         reports: Vec<(NodeId, usize)>,
     },
-    /// The console pushed the epoch's shard-merged patch plan to every member.
+    /// The console pushed the epoch's patch plan to every member.
     PatchPushes {
         /// The epoch of the batch.
         epoch: u64,
         /// How many members received the plan.
         members: usize,
-        /// The merged, canonically ordered plan (one copy on the wire, applied by
-        /// every member).
+        /// The canonically ordered plan (one copy in the log, applied by every
+        /// member).
         plan: PatchPlan,
     },
     /// Members were brought to the current protection state from the coordinator's
@@ -161,9 +123,6 @@ pub enum FleetMessage {
     },
 }
 
-/// Flat per-event cost of one protocol event, in wire words (header + ids).
-const EVENT_HEADER_WORDS: u64 = 4;
-
 impl FleetMessage {
     /// Number of events aggregated in this batch.
     pub fn event_count(&self) -> usize {
@@ -176,63 +135,12 @@ impl FleetMessage {
             FleetMessage::DeltaSync { members, .. } => *members,
         }
     }
-
-    /// `(location, summary)` for every operation of a patch-push batch (empty for
-    /// other message kinds).
-    pub fn push_summaries(&self) -> Vec<(Addr, PatchPushKind)> {
-        match self {
-            FleetMessage::PatchPushes { plan, .. } => plan
-                .ops()
-                .iter()
-                .map(|op| (op.location, PatchPushKind::of(&op.directive)))
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Estimated wire size of the batch: one header plus two words per entry.
-    /// Snapshot-bearing messages carry their encoded payload once, regardless of
-    /// how many members consume it.
-    pub fn batched_wire_words(&self) -> u64 {
-        match self {
-            FleetMessage::Bootstrap { snapshot_bytes, .. } => {
-                EVENT_HEADER_WORDS + snapshot_bytes.div_ceil(4)
-            }
-            FleetMessage::DeltaSync { delta_bytes, .. } => {
-                EVENT_HEADER_WORDS + delta_bytes.div_ceil(4)
-            }
-            _ => EVENT_HEADER_WORDS + 2 * self.event_count() as u64,
-        }
-    }
-
-    /// Estimated wire size of the same traffic sent without batching or deltas (the
-    /// `cv-community` protocol): one header plus two words per event — patch plans
-    /// repeated once per receiving member, snapshots shipped in full to every
-    /// member, deltas replaced by the full snapshot they stand in for.
-    pub fn unbatched_wire_words(&self) -> u64 {
-        match self {
-            FleetMessage::PatchPushes { plan, members, .. } => {
-                (EVENT_HEADER_WORDS + 2) * plan.len() as u64 * (*members).max(1) as u64
-            }
-            FleetMessage::Bootstrap {
-                members,
-                snapshot_bytes,
-                ..
-            } => (EVENT_HEADER_WORDS + snapshot_bytes.div_ceil(4)) * (*members).max(1) as u64,
-            FleetMessage::DeltaSync {
-                members,
-                full_bytes,
-                ..
-            } => (EVENT_HEADER_WORDS + full_bytes.div_ceil(4)) * (*members).max(1) as u64,
-            _ => (EVENT_HEADER_WORDS + 2) * self.event_count() as u64,
-        }
-    }
 }
 
-/// The fleet console log: batched messages plus aggregate wire accounting.
+/// The fleet console log: the batched messages, in order.
 ///
-/// Logs are `PartialEq`, so parity tests can assert that a sharded-parallel manager
-/// and a sequential one wrote identical histories.
+/// Logs are `PartialEq`, so parity tests can assert that a parallel fleet and a
+/// sequential one wrote identical histories.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchLog {
     messages: Vec<FleetMessage>,
@@ -264,24 +172,16 @@ impl BatchLog {
             _ => None,
         })
     }
-
-    /// Total wire words with batching.
-    pub fn batched_wire_words(&self) -> u64 {
-        self.messages.iter().map(|m| m.batched_wire_words()).sum()
-    }
-
-    /// Total wire words the legacy per-event protocol would have used.
-    pub fn unbatched_wire_words(&self) -> u64 {
-        self.messages.iter().map(|m| m.unbatched_wire_words()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cv_core::Directive;
 
     #[test]
     fn batching_compresses_patch_distribution() {
+        // One plan pushed to a thousand members is one message in the log.
         let mut log = BatchLog::new();
         let mut plan = PatchPlan::new();
         plan.push(0x4000, Directive::RemoveChecks);
@@ -291,11 +191,7 @@ mod tests {
             plan,
         });
         assert_eq!(log.messages().len(), 1);
-        assert!(log.batched_wire_words() * 100 < log.unbatched_wire_words());
-        assert_eq!(
-            log.messages()[0].push_summaries(),
-            vec![(0x4000, PatchPushKind::RemoveChecks)]
-        );
+        assert_eq!(log.messages()[0].event_count(), 1);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Sharded-manager correctness, mirroring `shard_parity.rs` for the manager plane:
-//! a fleet whose responder state is partitioned across many shards, with its
-//! members spread over several workers, must write a **byte-identical**
-//! [`BatchLog`] — and reach byte-identical responder state — to a fleet with one
-//! manager shard and one worker, the seed's single responder pass. The manager
-//! pass itself runs on the calling thread either way; what varies is the worker
-//! count and the shard count. The canonical [`PatchPlan`] merge (stable sort by
-//! failure location) is what makes the histories comparable at all: without it,
-//! op order within an epoch would depend on shard count.
+//! Manager-plane determinism, mirroring `shard_parity.rs` for the responders: a
+//! fleet whose members are spread over several workers must write a
+//! **byte-identical** [`BatchLog`] — and reach byte-identical responder state — to
+//! a fleet with one worker, the seed's single responder pass. The manager pass
+//! itself runs on the calling thread either way; what varies is the worker count.
+//! The canonical [`PatchPlan`] order (stable sort by failure location) is what the
+//! log records.
 
 use cv_apps::{learning_suite, red_team_exploits, Browser, Exploit};
 use cv_core::ClearViewConfig;
@@ -48,31 +46,27 @@ fn run_scenario(config: FleetConfig) -> Fleet {
 
 #[test]
 fn workers_and_shards_do_not_change_the_log() {
-    // The seed shape: one manager shard, one worker, no threads.
-    let sequential = run_scenario(FleetConfig::new(NODES).sequential().with_manager_shards(1));
-    // The sharded shape: responder state split 8 ways, members over 4 workers.
-    let sharded = run_scenario(
-        FleetConfig::new(NODES)
-            .with_workers(4)
-            .with_manager_shards(8),
-    );
+    // The seed shape: one worker, no threads.
+    let sequential = run_scenario(FleetConfig::new(NODES).sequential());
+    // Members over 4 workers.
+    let parallel = run_scenario(FleetConfig::new(NODES).with_workers(4));
 
     // Both managers made the same decisions, in the same canonical order.
     assert_eq!(
         sequential.log(),
-        sharded.log(),
-        "the sharded, four-worker fleet diverged from the single-shard, one-worker fleet"
+        parallel.log(),
+        "the four-worker fleet diverged from the one-worker fleet"
     );
     // Byte-identical histories, not merely structurally equal ones.
     assert_eq!(
         format!("{:?}", sequential.log()),
-        format!("{:?}", sharded.log())
+        format!("{:?}", parallel.log())
     );
 
     // The per-failure responder state agrees too (reports are location-sorted).
     assert_eq!(
         format!("{:?}", sequential.reports()),
-        format!("{:?}", sharded.reports())
+        format!("{:?}", parallel.reports())
     );
     assert!(
         !sequential.reports().is_empty(),
@@ -89,42 +83,15 @@ fn workers_and_shards_do_not_change_the_log() {
             sequential.phase_of(location)
         );
         assert!(
-            sharded.is_protected_against(location),
-            "sharded fleet failed to protect {sym}: {:?}",
-            sharded.phase_of(location)
-        );
-    }
-}
-
-#[test]
-fn manager_shard_count_does_not_change_the_log() {
-    let reference = run_scenario(FleetConfig::new(NODES).sequential().with_manager_shards(1));
-    for manager_shards in [2, 3, 8, 32] {
-        let fleet = run_scenario(
-            FleetConfig::new(NODES)
-                .sequential()
-                .with_manager_shards(manager_shards),
-        );
-        assert_eq!(
-            reference.log(),
-            fleet.log(),
-            "manager_shards={manager_shards} diverged from the single-shard manager"
+            parallel.is_protected_against(location),
+            "parallel fleet failed to protect {sym}: {:?}",
+            parallel.phase_of(location)
         );
     }
 }
 
 #[test]
 fn per_shard_manager_metrics_are_recorded() {
-    let fleet = run_scenario(
-        FleetConfig::new(NODES)
-            .with_workers(4)
-            .with_manager_shards(8),
-    );
-    let metrics = fleet.metrics();
-    assert_eq!(metrics.manager_shard_times().len(), 8);
-    assert!(
-        metrics.manager_shard_times().iter().any(|d| !d.is_zero()),
-        "at least one manager shard did measurable work"
-    );
-    assert!(metrics.manager_ms_per_epoch() > 0.0);
+    let fleet = run_scenario(FleetConfig::new(NODES).with_workers(4));
+    assert!(fleet.metrics().manager_ms_per_epoch() > 0.0);
 }

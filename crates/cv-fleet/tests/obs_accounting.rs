@@ -38,7 +38,7 @@ fn run_fleet() -> Fleet {
     let mut fleet = Fleet::new(
         browser.image.clone(),
         ClearViewConfig::default(),
-        FleetConfig::new(24).sequential().with_manager_shards(4),
+        FleetConfig::new(24).sequential(),
     );
     fleet.distributed_learning(&learning_suite());
     let base = fleet.checkpoint();
@@ -97,8 +97,7 @@ fn metric_log_refolds_to_the_served_aggregate_and_disabled_recorder_stays_empty(
 
     // The served aggregate is exactly the fold of the event log.
     let metrics = fleet.metrics();
-    let replayed =
-        FleetMetrics::from_events(metrics.manager_shard_times().len(), fleet.metric_log());
+    let replayed = FleetMetrics::from_events(fleet.metric_log());
     assert_eq!(
         *metrics, replayed,
         "metric log does not refold to the aggregate"
@@ -148,10 +147,6 @@ fn recorded_spans_and_counters_reconcile_exactly_with_the_metrics_fold() {
     // that pushed a non-empty plan.
     assert_eq!(count("fleet.patch_push"), metrics.epochs);
     assert!(total("fleet.patch_push") >= metrics.patch_propagation_time);
-    // Per-shard busy time: the manager_shard spans sum to the fan-out busy
-    // accounting (each shard drive is one span and one busy sample).
-    let shard_busy: Duration = metrics.manager_shard_times().iter().sum();
-    assert_eq!(total("fleet.manager_shard"), shard_busy);
 
     // Final counter samples are the fold's counters.
     assert_eq!(

@@ -1,8 +1,9 @@
 //! The one shard-routing implementation every plane shares.
 //!
-//! Three subsystems partition state by check/failure address: the sharded community
-//! invariant store (`cv-fleet`), the sharded manager plane (`cv-core::manager`), and
-//! the snapshot/delta-sync persistence plane (`cv-store`). If each re-derived its own
+//! Three subsystems partition state by address: the sharded community invariant
+//! store (`cv-fleet`), the manager plane's record of which store shards a patch plan
+//! touched (`cv-core::manager`), and the snapshot/delta-sync persistence plane
+//! (`cv-store`). If each re-derived its own
 //! address → shard map, a change to one (shard count, hash) could silently desync the
 //! others — a delta snapshot cut under one routing would scatter invariants across
 //! the wrong shards of a live store under another. [`ShardRouter`] is therefore the

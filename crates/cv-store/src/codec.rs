@@ -421,6 +421,27 @@ pub fn read_entries(r: &mut Reader<'_>) -> Result<Vec<(Addr, Vec<Invariant>)>, S
     let sp_proc = r.u32_column(n_sp, "sp-offset procedure entries")?;
     let sp_at = r.u32_column(n_sp, "sp-offset sites")?;
     let sp_off = r.i32_column(n_sp, "sp-offset values")?;
+    // Each kind column must hold exactly as many invariants as the kind layout
+    // names, or the walk below would index past its end.
+    let mut per_kind = (0, 0, 0, 0);
+    for &kind in &kinds {
+        match kind {
+            INV_ONE_OF => per_kind.0 += 1,
+            INV_LOWER_BOUND => per_kind.1 += 1,
+            INV_LESS_THAN => per_kind.2 += 1,
+            INV_SP_OFFSET => per_kind.3 += 1,
+            _ => {
+                return Err(StoreError::Corrupt {
+                    context: "unknown invariant kind in kind column",
+                })
+            }
+        }
+    }
+    if per_kind != (n_oo, n_lb, n_lt, n_sp) {
+        return Err(StoreError::Corrupt {
+            context: "kind counts disagree with the kind columns",
+        });
+    }
 
     // Reassemble: walk the entry layout, consuming each kind column by cursor.
     let (mut ko, mut koo, mut klb, mut klt, mut ksp, mut kval) = (0, 0, 0, 0, 0usize, 0usize);
@@ -496,11 +517,6 @@ pub fn read_entries(r: &mut Reader<'_>) -> Result<Vec<(Addr, Vec<Invariant>)>, S
             invs.push(inv);
         }
         entries.push((addr, invs));
-    }
-    if koo != n_oo || klb != n_lb || klt != n_lt || ksp != n_sp {
-        return Err(StoreError::Corrupt {
-            context: "kind columns longer than the kind layout consumes",
-        });
     }
     Ok(entries)
 }

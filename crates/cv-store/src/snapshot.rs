@@ -313,4 +313,54 @@ mod tests {
             Directive::InstallRepair(_)
         ));
     }
+
+    /// A kind byte flipped from one-of to lower-bound, with the section's CRC
+    /// re-stamped so the flip reaches the codec, leaves three lower-bound kinds
+    /// over a two-entry lower-bound column. The decoder must reject that, not
+    /// index past the column.
+    #[test]
+    fn a_kind_byte_flipped_under_a_valid_crc_is_rejected() {
+        let golden: &[u8] = include_bytes!("../tests/golden_snapshot_v1.bin");
+        let mut sections: Vec<(u32, Vec<u8>)> =
+            read_container(golden, SNAPSHOT_MAGIC, FORMAT_VERSION)
+                .unwrap()
+                .into_iter()
+                .map(|(id, payload)| (id, payload.to_vec()))
+                .collect();
+        let payload = &mut sections
+            .iter_mut()
+            .find(|(id, _)| *id == SECTION_INVARIANTS)
+            .unwrap()
+            .1;
+        // Walk the section's layout up to the kind column.
+        let mut r = Reader::new(payload);
+        codec::read_stats(&mut r).unwrap();
+        let n_vars = r.len_u32(1, "variables").unwrap();
+        r.u32_column(n_vars, "addresses").unwrap();
+        r.u16_column(n_vars, "slots").unwrap();
+        r.u8_column(n_vars, "tags").unwrap();
+        r.u32_column(n_vars, "a").unwrap();
+        r.i32_column(n_vars, "b").unwrap();
+        let n_entries = r.len_u32(1, "entries").unwrap();
+        r.u32_column(n_entries, "entry addresses").unwrap();
+        r.u32_column(n_entries, "entry counts").unwrap();
+        let n_kinds = r.len_u32(1, "kinds").unwrap();
+        let kinds_at = payload.len() - r.remaining();
+        let kinds = &mut payload[kinds_at..kinds_at + n_kinds];
+        assert_eq!(kinds.iter().filter(|&&k| k == 0).count(), 2, "two one-ofs");
+        assert_eq!(
+            kinds.iter().filter(|&&k| k == 1).count(),
+            2,
+            "two lower bounds"
+        );
+        // The last one-of (kind 0) becomes a lower bound (kind 1).
+        let last_one_of = kinds.iter().rposition(|&k| k == 0).unwrap();
+        kinds[last_one_of] = 1;
+
+        let bytes = write_container(SNAPSHOT_MAGIC, FORMAT_VERSION, &sections);
+        assert!(matches!(
+            Snapshot::decode(&bytes),
+            Err(StoreError::Corrupt { .. })
+        ));
+    }
 }

@@ -1,16 +1,23 @@
 //! The application community (Section 3): amortized learning across members, an attack
 //! on one member, and immunity for members that were never exposed.
 //!
+//! A small fleet with one worker, presented one page per epoch, runs the paper's
+//! sequential community protocol.
+//!
 //! Run with: `cargo run --example application_community`
 
 use clearview::apps::{learning_suite, red_team_exploits, Browser};
-use clearview::community::{Community, Message};
-use clearview::core::ClearViewConfig;
+use clearview::core::{ClearViewConfig, Directive};
+use clearview::fleet::{Fleet, FleetConfig, FleetMessage};
 use clearview::runtime::RunStatus;
 
 fn main() {
     let browser = Browser::build();
-    let mut community = Community::new(browser.image.clone(), ClearViewConfig::default(), 4);
+    let mut community = Fleet::new(
+        browser.image.clone(),
+        ClearViewConfig::default(),
+        FleetConfig::new(4).with_workers(1),
+    );
 
     // Amortized parallel learning: the learning pages are divided among the members;
     // each uploads only its locally inferred invariants.
@@ -27,7 +34,7 @@ fn main() {
         .find(|e| e.bugzilla == 312278)
         .unwrap();
     for attempt in 1..=8 {
-        let out = community.browse(0, exploit.page());
+        let out = community.present(0, exploit.page());
         let status = match out.status {
             RunStatus::Completed => "survived",
             RunStatus::Failure(_) => "blocked",
@@ -40,7 +47,7 @@ fn main() {
     }
 
     // Member 3 has never seen this attack; the distributed patch protects it anyway.
-    let out = community.browse(3, exploit.page());
+    let out = community.present(3, exploit.page());
     println!(
         "member 3 (never exposed) presented with the exploit: {}",
         if matches!(out.status, RunStatus::Completed) {
@@ -50,42 +57,60 @@ fn main() {
         }
     );
 
-    // The console's message log shows the protocol.
+    // The console's log shows the protocol, one batch per kind per epoch.
     println!("\nmanagement console log:");
-    for message in community.log() {
+    for message in community.log().messages() {
         match message {
-            Message::InvariantUpload { node, invariants } => {
-                println!("  member {node} uploaded {invariants} invariants")
+            FleetMessage::InvariantUploads { uploads, .. } => {
+                for (node, invariants) in uploads {
+                    println!("  member {node} uploaded {invariants} invariants");
+                }
             }
-            Message::FailureNotification { node, location } => {
-                println!("  member {node} reported a failure at 0x{location:x}")
+            FleetMessage::Failures { failures, .. } => {
+                for (node, location) in failures {
+                    println!("  member {node} reported a failure at 0x{location:x}");
+                }
             }
-            Message::ChecksDistributed {
-                location,
-                invariants,
+            FleetMessage::Observations {
+                location, reports, ..
             } => {
-                println!("  distributed {invariants} invariant checks for 0x{location:x}")
+                for (node, observations) in reports {
+                    println!(
+                        "  member {node} reported {observations} observations for 0x{location:x}"
+                    );
+                }
             }
-            Message::ChecksRemoved { location } => {
-                println!("  removed invariant checks for 0x{location:x}")
+            FleetMessage::PatchPushes { plan, .. } => {
+                for op in plan.ops() {
+                    let location = op.location;
+                    match &op.directive {
+                        Directive::InstallChecks(checks) => println!(
+                            "  distributed {} invariant checks for 0x{location:x}",
+                            checks.len()
+                        ),
+                        Directive::RemoveChecks => {
+                            println!("  removed invariant checks for 0x{location:x}")
+                        }
+                        Directive::InstallRepair(repair) => println!(
+                            "  distributed repair for 0x{location:x}: {}",
+                            repair.description()
+                        ),
+                        Directive::RemoveRepair => {
+                            println!("  removed repair for 0x{location:x}")
+                        }
+                    }
+                }
             }
-            Message::RepairDistributed {
-                location,
-                description,
-            } => {
-                println!("  distributed repair for 0x{location:x}: {description}")
-            }
-            Message::RepairRemoved { location } => println!("  removed repair for 0x{location:x}"),
-            Message::StateSync { bytes } => {
-                println!("  synced a member from a {bytes}-byte snapshot/delta")
-            }
-            Message::ObservationReport {
-                node,
-                location,
-                observations,
-            } => {
-                println!("  member {node} reported {observations} observations for 0x{location:x}")
-            }
+            FleetMessage::Bootstrap {
+                members,
+                snapshot_bytes,
+                ..
+            } => println!("  synced {members} member(s) from a {snapshot_bytes}-byte snapshot"),
+            FleetMessage::DeltaSync {
+                members,
+                delta_bytes,
+                ..
+            } => println!("  synced {members} member(s) from a {delta_bytes}-byte delta"),
         }
     }
 }

@@ -146,12 +146,6 @@ fn main() {
     }
 
     println!("\n{}", fleet.metrics());
-    println!(
-        "wire traffic: {} words batched vs {} words per-event ({}x saved)",
-        fleet.log().batched_wire_words(),
-        fleet.log().unbatched_wire_words(),
-        fleet.log().unbatched_wire_words() / fleet.log().batched_wire_words().max(1)
-    );
     for report in fleet.reports() {
         println!("\n{report}");
     }

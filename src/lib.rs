@@ -9,16 +9,16 @@
 //! * [`patch`] — invariant-check and repair patches.
 //! * [`core`] — the ClearView orchestration pipeline.
 //! * [`store`] — the snapshot + delta-sync persistence plane (durability & churn).
-//! * [`community`] — the application-community layer (small-N facade).
-//! * [`fleet`] — the sharded, parallel application-community engine (1,000+ members).
+//! * [`fleet`] — the application community: one central manager, members executed
+//!   in parallel (from a handful to 1,000+ members).
 //! * [`obs`] — the structured tracing + telemetry plane (spans, counters, traces).
 //! * [`apps`] — the synthetic vulnerable browser and its workloads.
 //!
 //! See `examples/quickstart.rs` for an end-to-end walk through the Figure 1 pipeline,
-//! and `examples/fleet_demo.rs` for community-scale immunity.
+//! `examples/application_community.rs` for a small community, and
+//! `examples/fleet_demo.rs` for community-scale immunity.
 
 pub use cv_apps as apps;
-pub use cv_community as community;
 pub use cv_core as core;
 pub use cv_fleet as fleet;
 pub use cv_inference as inference;

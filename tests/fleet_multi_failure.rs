@@ -1,9 +1,9 @@
 //! The multi-failure manager-plane acceptance test: a 1,000-member fleet is hit by
 //! **eight distinct exploits at eight distinct failure locations in the same epoch**,
-//! every location reaches `Phase::Protected`, and the sharded-parallel manager's
-//! final `BatchLog` is byte-identical to the sequential single-shard manager's — the
-//! end-to-end proof that sharding the responder state by failure location changes
-//! the manager's *latency*, never its *decisions*.
+//! every location reaches `Phase::Protected`, and the final `BatchLog` of a fleet
+//! whose members run on a worker pool is byte-identical to a one-worker fleet's —
+//! the end-to-end proof that parallel member execution changes the fleet's
+//! *latency*, never the manager's *decisions*.
 
 use clearview::apps::{
     expanded_learning_suite, red_team_exploits, Browser, Exploit, MULTI_FAILURE_TARGETS,
@@ -85,17 +85,13 @@ fn eight_simultaneous_exploits_immunize_a_thousand_member_fleet() {
         assert!(record.epochs_to_immunity().is_some());
     }
 
-    // The sequential, single-shard manager (the seed shape) makes byte-identical
+    // The sequential fleet (the seed shape: one worker) makes byte-identical
     // decisions for the same scenario.
-    let sequential = run_scenario(
-        &browser,
-        model,
-        FleetConfig::new(NODES).sequential().with_manager_shards(1),
-    );
+    let sequential = run_scenario(&browser, model, FleetConfig::new(NODES).sequential());
     assert_eq!(
         sequential.log(),
         fleet.log(),
-        "sharded and sequential managers diverged on the multi-failure scenario"
+        "parallel and sequential fleets diverged on the multi-failure scenario"
     );
     assert_eq!(
         format!("{:?}", sequential.log()),
