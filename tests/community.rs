@@ -164,6 +164,16 @@ fn benign_browsing_across_the_community_is_untouched() {
         assert!(!out.blocked);
     }
     assert!(community.reports().is_empty());
+}
+
+#[test]
+fn benign_browsing_never_triggers_a_response() {
+    let (mut community, _) = protected_community(2);
+    for (i, page) in learning_suite().iter().enumerate() {
+        let out = community.present(i % 2, page);
+        assert!(matches!(out.status, RunStatus::Completed));
+    }
+    assert!(community.reports().is_empty());
     // No failure was ever reported to the console.
     assert!(!community
         .log()
